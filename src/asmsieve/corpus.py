@@ -306,7 +306,15 @@ def load_pairs(path) -> list[FunctionPair]:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ListingParseError(f"invalid pairs JSON: {exc.msg}", line_no) from exc
+            if not isinstance(obj, dict):
+                raise ListingParseError("pair record is not a JSON object", line_no)
+            for side in ("left", "right"):
+                if not isinstance(obj.get(side), str):
+                    raise ListingParseError(f"pair record needs a string {side!r}", line_no)
             pairing = obj.get("pairing", "")
             if pairing not in PAIRING_KINDS:
                 raise ListingParseError(f"unknown pairing kind {pairing!r}", line_no)

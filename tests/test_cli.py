@@ -286,6 +286,16 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert report["scorer"] == "hybrid" and report["per_pair_ranks"] == [1]
 
+    @pytest.mark.parametrize(
+        "record",
+        ['{"left": "lib/sha384_init@ARM/O2", "pairing": "cross_architecture"}', "[1]"],
+    )
+    def test_malformed_pool_exit_2(self, features_file, tmp_path, capsys, record):
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(record + "\n")
+        assert run(["eval", "--pool", str(pool), "--features", str(features_file)]) == 2
+        assert "line 1" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, features_file, tmp_path, capsys):

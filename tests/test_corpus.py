@@ -245,3 +245,23 @@ class TestCorpusIO:
         path = tmp_path / "pairs.jsonl"
         save_pairs(path, pairs)
         assert load_pairs(path) == pairs
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('[1]', "not a JSON object"),
+            ('"a"', "not a JSON object"),
+            ('{"left": "a", "pairing": "cross_optimization"}', "'right'"),
+            ('{"right": "b", "pairing": "cross_optimization"}', "'left'"),
+            ('{"left": 1, "right": "b", "pairing": "cross_optimization"}', "'left'"),
+            ('{"left": "a", "right": null, "pairing": "cross_optimization"}', "'right'"),
+            ('{"left": "a", "right": "b"', "invalid pairs JSON"),
+        ],
+    )
+    def test_malformed_pair_record_names_line(self, tmp_path, record, message):
+        path = tmp_path / "pairs.jsonl"
+        good = '{"left": "a", "right": "b", "pairing": "cross_optimization"}'
+        path.write_text(good + "\n\n" + record + "\n")
+        with pytest.raises(ListingParseError, match=message) as excinfo:
+            load_pairs(path)
+        assert excinfo.value.line_number == 3

@@ -1,7 +1,11 @@
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asmsieve import _kernels
 from asmsieve.errors import (
@@ -138,6 +142,50 @@ class TestExactness:
             entries = list(ix.search(query, k).entries)
             assert entries[: len(previous)] == previous
             previous = entries
+
+
+@st.composite
+def tie_heavy_corpus(draw):
+    """Up to 40 documents over 2-5 tokens (so dozens share each score), in a
+    random insertion order, a query over the same tokens, and a split point
+    for the part of the corpus added after a persist/load round trip."""
+    vocab = [f"t{i}" for i in range(draw(st.integers(2, 5)))]
+    subsets = st.frozensets(st.sampled_from(vocab))
+    n = draw(st.integers(1, 40))
+    docs = {f"d{i:02d}": draw(subsets) for i in range(n)}
+    order = draw(st.permutations(list(docs)))
+    return docs, order, draw(subsets), draw(st.integers(1, n))
+
+
+class TestTieHeavyExactness:
+    @staticmethod
+    def _assert_exhaustive(ix, docs, query):
+        # Every k from 1 to n + 2 covers touched < k, touched == k and
+        # touched > k for the same query.
+        for k in range(1, len(docs) + 3):
+            assert list(ix.search(query, k).entries) == exhaustive_search(docs, query, k)
+
+    @given(tie_heavy_corpus())
+    @settings(max_examples=60, deadline=None)
+    def test_fresh_loaded_and_updated_match_exhaustive_scan(self, corpus):
+        docs, order, query, split = corpus
+        first, rest = order[:split], order[split:]
+        ix = InvertedIndex()
+        for fid in order:
+            ix.add(fid, docs[fid])
+        self._assert_exhaustive(ix, docs, query)
+
+        partial = InvertedIndex()
+        for fid in first:
+            partial.add(fid, docs[fid])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.snap"
+            partial.persist(path)
+            loaded = InvertedIndex.load(path)
+        self._assert_exhaustive(loaded, {fid: docs[fid] for fid in first}, query)
+        for fid in rest:
+            loaded.add(fid, docs[fid])
+        self._assert_exhaustive(loaded, docs, query)
 
 
 class TestPrefilterRerank:
