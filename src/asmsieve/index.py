@@ -12,6 +12,25 @@ overlaps, a linear-time selection of the k-th best score among the touched
 documents, and a sort of only the documents scoring above it (fewer than
 ``k``); the ties at the k-th score are taken in id order without sorting.
 
+The documents live only in the CSR arrays of ``_Finalized``; ``add`` buffers
+new ones until the next search, ``persist`` or ``cardinality`` merges them in.
+
+Snapshot layout (all integers little-endian): the magic ``ASMSIEVE1``, a
+uint32 version (``SNAPSHOT_VERSION``), then six sections, each a uint64
+payload length and a uint32 CRC32 of the payload, followed by the payload:
+
+1. meta: JSON object ``{"n_docs", "n_tokens", "nnz"}``;
+2. ids: JSON list of the ``n_docs`` function ids, sorted and unique;
+3. refs: JSON list of the ``n_docs`` refs (string or null), in id order;
+4. tokens: JSON list of the ``n_tokens`` tokens, sorted and unique;
+5. offsets: ``n_tokens + 1`` int64, from 0 to ``nnz``, non-decreasing;
+6. postings: ``nnz`` int32 document numbers; token ``i``'s postings are
+   ``postings[offsets[i]:offsets[i + 1]]``, strictly increasing.
+
+``load`` checks the CRCs and every invariant above, raising ``SnapshotError``,
+and installs the offsets and postings as read. The refs section stays
+undecoded, and unchecked, until ``document_ref`` or ``persist`` needs it.
+
 Concurrency: any number of threads may search; adding documents or
 persisting requires exclusive access.
 """
@@ -19,9 +38,13 @@ persisting requires exclusive access.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import threading
 import zlib
+from array import array
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,7 +60,8 @@ from .errors import (
 from .similarity import EmbeddingStore, EmbeddingVector, TokenSet, cosine, hybrid
 
 SNAPSHOT_MAGIC = b"ASMSIEVE1"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+_META_KEYS = ("n_docs", "n_tokens", "nnz")
 
 
 @dataclass(frozen=True)
@@ -59,15 +83,21 @@ class SearchResult:
 class _Finalized:
     """Immutable search view: ids sorted, vocabulary sorted, postings in CSR."""
 
-    __slots__ = ("ids", "refs", "cards", "token_ids", "offsets", "flat")
+    __slots__ = ("ids", "token_ids", "offsets", "flat", "cards")
 
-    def __init__(self, ids, refs, cards, token_ids, offsets, flat):
+    def __init__(self, ids, token_ids, offsets, flat):
         self.ids: list[str] = ids
-        self.refs: list[str | None] = refs
-        self.cards: np.ndarray = cards
-        self.token_ids: dict[str, int] = token_ids
+        self.token_ids: dict[str, int] = token_ids  # in sorted token order
         self.offsets: np.ndarray = offsets
         self.flat: np.ndarray = flat
+        # Tokens per document, counted in place: np.bincount would first copy
+        # the int32 postings to a temporary int64 array.
+        self.cards = np.zeros(len(ids), dtype=np.int64)
+        np.add.at(self.cards, flat, 1)
+
+    def doc(self, fid: str) -> int | None:
+        i = bisect_left(self.ids, fid)
+        return i if i < len(self.ids) and self.ids[i] == fid else None
 
 
 def _as_tokens(tokens: TokenSet | Iterable[str]) -> frozenset[str]:
@@ -78,75 +108,110 @@ def _as_tokens(tokens: TokenSet | Iterable[str]) -> frozenset[str]:
 
 class InvertedIndex:
     def __init__(self) -> None:
-        self._ids: list[str] = []
-        self._id_to_num: dict[str, int] = {}
-        self._refs: list[str | None] = []
-        self._cards: list[int] = []
-        self._postings: dict[str, list[int]] = {}
-        self._finalized: _Finalized | None = None
+        self._view = _Finalized([], {}, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32))
+        # Refs by id. A loaded refs section stays undecoded, beside the ids it
+        # follows, until a ref is read or the index persisted.
+        self._refs_by_id: dict[str, str | None] = {}
+        self._refs_section: tuple[list[str], bytes] | None = None
+        self._reset_buffer()
         self._lock = threading.Lock()
 
+    def _reset_buffer(self) -> None:
+        """Ids added since the last merge, their tokens' provisional numbers
+        and their token counts, in add order."""
+        self._new: list[str] = []
+        # Looking up a token the vocabulary lacks numbers it len(vocab).
+        self._vocab: defaultdict[str, int] = defaultdict()
+        self._vocab.default_factory = self._vocab.__len__
+        self._tok: list[int] = []
+        self._lens = array("i")
+
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._view.ids) + len(self._new)
 
     def __contains__(self, fid: str) -> bool:
-        return fid in self._id_to_num
+        return fid in self._refs_by_id or self._view.doc(fid) is not None
 
     def add(self, fid: str, tokens: TokenSet | Iterable[str], ref: str | None = None) -> None:
         """Register a document. ``ref`` optionally stores its canonical text."""
-        if fid in self._id_to_num:
+        if fid in self:
             raise DuplicateIdError(f"function id {fid!r} is already indexed")
         tokset = _as_tokens(tokens)
-        num = len(self._ids)
-        self._ids.append(fid)
-        self._id_to_num[fid] = num
-        self._refs.append(ref)
-        self._cards.append(len(tokset))
-        for token in tokset:
-            self._postings.setdefault(token, []).append(num)
-        self._finalized = None
+        self._tok.extend(map(self._vocab.__getitem__, tokset))
+        self._lens.append(len(tokset))
+        self._new.append(fid)
+        self._refs_by_id[fid] = ref
 
     def document_ref(self, fid: str) -> str | None:
-        return self._refs[self._id_to_num[fid]]
+        return self._decoded_refs()[fid]
 
     def cardinality(self, fid: str) -> int:
-        return self._cards[self._id_to_num[fid]]
+        fin = self._ensure_finalized()
+        doc = fin.doc(fid)
+        if doc is None:
+            raise KeyError(fid)
+        return int(fin.cards[doc])
+
+    def _decoded_refs(self) -> dict[str, str | None]:
+        with self._lock:
+            if self._refs_section is not None:
+                ids, payload = self._refs_section
+                refs = _json_section(payload, "refs")
+                if not (
+                    isinstance(refs, list)
+                    and len(refs) == len(ids)
+                    and set(map(type, refs)) <= {str, type(None)}
+                ):
+                    raise SnapshotError(f"snapshot refs section is not {len(ids)} strings or nulls")
+                self._refs_by_id = {**dict(zip(ids, refs)), **self._refs_by_id}
+                self._refs_section = None
+            return self._refs_by_id
 
     def _ensure_finalized(self) -> _Finalized:
-        fin = self._finalized
-        if fin is not None:
-            return fin
+        """Merge the buffered documents into the view: renumber the docs in
+        id order, remap both vocabularies onto the merged sorted one, and
+        sort the (token, doc) keys of old and new postings together."""
         with self._lock:
-            if self._finalized is not None:
-                return self._finalized
-            order = sorted(range(len(self._ids)), key=self._ids.__getitem__)
-            new_num = np.empty(len(order), dtype=np.int64)
-            for rank, old in enumerate(order):
-                new_num[old] = rank
-            ids = [self._ids[old] for old in order]
-            refs = [self._refs[old] for old in order]
-            cards = np.array([self._cards[old] for old in order], dtype=np.int64)
+            if not self._new:
+                return self._view
+            old, n_old, n = self._view, len(self._view.ids), len(self)
+            ids = old.ids + self._new
+            order = sorted(range(n), key=ids.__getitem__)
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
 
-            tokens = sorted(self._postings)
-            token_ids = {t: i for i, t in enumerate(tokens)}
-            sizes = np.array([len(self._postings[t]) for t in tokens], dtype=np.int64)
-            offsets = np.zeros(len(tokens) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=offsets[1:])
-            flat = np.empty(int(offsets[-1]), dtype=np.int32)
-            for i, t in enumerate(tokens):
-                seg = new_num[np.asarray(self._postings[t], dtype=np.int64)]
-                seg.sort()
-                flat[offsets[i]:offsets[i + 1]] = seg
-            self._finalized = _Finalized(ids, refs, cards, token_ids, offsets, flat)
-            return self._finalized
+            tokens = [*old.token_ids, *(t for t in self._vocab if t not in old.token_ids)]
+            tokens.sort()
+            token_ids = dict(zip(tokens, range(len(tokens))))
+
+            def remap(vocab):
+                return np.fromiter(map(token_ids.__getitem__, vocab), np.int64, len(vocab))
+
+            # One key per posting, token << 32 | doc: once sorted, each token's
+            # postings are contiguous and ascending.
+            new_doc = np.repeat(rank[n_old:], np.frombuffer(self._lens, dtype=np.int32))
+            new_tok = remap(self._vocab)[np.fromiter(self._tok, np.int64, len(self._tok))]
+            keys = np.concatenate([
+                np.repeat(remap(old.token_ids), np.diff(old.offsets)) << 32 | rank[old.flat],
+                new_tok << 32 | new_doc,
+            ])
+            keys.sort()
+            self._view = _Finalized(
+                list(map(ids.__getitem__, order)),
+                token_ids,
+                np.searchsorted(keys, np.arange(len(tokens) + 1) << 32),
+                (keys & 0xFFFFFFFF).astype(np.int32),
+            )
+            self._reset_buffer()
+            return self._view
 
     def search(self, query: TokenSet | Iterable[str], k: int) -> SearchResult:
         """Top-k documents by Jaccard overlap with the query token set."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if not self._ids:
-            raise ValueError("search on an empty index")
         fin = self._ensure_finalized()
+        if not fin.ids:
+            raise ValueError("search on an empty index")
         qtokens = _as_tokens(query)
         qlen = len(qtokens)
         tids = sorted(fin.token_ids[t] for t in qtokens if t in fin.token_ids)
@@ -214,17 +279,14 @@ class InvertedIndex:
     def persist(self, path) -> None:
         """Write a versioned single-file snapshot (see module docs for layout)."""
         fin = self._ensure_finalized()
-        tokens = sorted(fin.token_ids, key=fin.token_ids.__getitem__)
+        refs = self._decoded_refs()
+        tokens = list(fin.token_ids)
+        meta = {"n_docs": len(fin.ids), "n_tokens": len(tokens), "nnz": len(fin.flat)}
         sections = [
-            json.dumps(
-                {"n_docs": len(fin.ids), "n_tokens": len(tokens), "nnz": int(fin.offsets[-1])},
-                separators=(",", ":"),
-            ).encode("utf-8"),
-            json.dumps(
-                {"ids": fin.ids, "refs": fin.refs, "cards": fin.cards.tolist()},
-                separators=(",", ":"),
-            ).encode("utf-8"),
-            json.dumps(tokens, separators=(",", ":")).encode("utf-8"),
+            *(
+                json.dumps(value, separators=(",", ":")).encode("utf-8")
+                for value in (meta, fin.ids, list(map(refs.__getitem__, fin.ids)), tokens)
+            ),
             np.ascontiguousarray(fin.offsets, dtype="<i8").tobytes(),
             np.ascontiguousarray(fin.flat, dtype="<i4").tobytes(),
         ]
@@ -237,64 +299,77 @@ class InvertedIndex:
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":
+        """Read a snapshot written by ``persist``; any fault raises ``SnapshotError``."""
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < len(SNAPSHOT_MAGIC) + 4 or not blob.startswith(SNAPSHOT_MAGIC):
-            raise SnapshotError("not an index snapshot (bad magic)")
-        pos = len(SNAPSHOT_MAGIC)
-        (version,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotError(f"unsupported snapshot version {version}")
-        payloads = []
-        for _ in range(5):
-            if pos + 12 > len(blob):
-                raise SnapshotError("snapshot truncated in section header")
-            length, crc = struct.unpack_from("<QI", blob, pos)
-            pos += 12
-            if pos + length > len(blob):
-                raise SnapshotError("snapshot truncated in section payload")
-            payload = blob[pos : pos + length]
-            if zlib.crc32(payload) != crc:
-                raise SnapshotError("snapshot section failed checksum")
-            payloads.append(payload)
-            pos += length
-        if pos != len(blob):
-            raise SnapshotError("snapshot holds trailing bytes")
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(len(SNAPSHOT_MAGIC) + 4)
+            if len(head) < len(SNAPSHOT_MAGIC) + 4 or not head.startswith(SNAPSHOT_MAGIC):
+                raise SnapshotError("not an index snapshot (bad magic)")
+            (version,) = struct.unpack_from("<I", head, len(SNAPSHOT_MAGIC))
+            if version != SNAPSHOT_VERSION:
+                raise SnapshotError(
+                    f"unsupported snapshot version {version} (this build reads version "
+                    f"{SNAPSHOT_VERSION}); re-run `asmsieve index` to rebuild the snapshot"
+                )
+            meta, ids, refs, tokens, offsets, flat = (_read_section(fh, size) for _ in range(6))
+            if fh.read(1):
+                raise SnapshotError("snapshot holds trailing bytes")
 
-        try:
-            meta = json.loads(payloads[0])
-            docs = json.loads(payloads[1])
-            tokens = json.loads(payloads[2])
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"snapshot section is not valid JSON: {exc}") from exc
-        offsets = np.frombuffer(payloads[3], dtype="<i8").astype(np.int64)
-        flat = np.frombuffer(payloads[4], dtype="<i4").astype(np.int32)
-        ids, refs, cards = docs["ids"], docs["refs"], docs["cards"]
-        if (
-            len(ids) != meta["n_docs"]
-            or len(tokens) != meta["n_tokens"]
-            or len(flat) != meta["nnz"]
-            or len(offsets) != meta["n_tokens"] + 1
-            or len(refs) != len(ids)
-            or len(cards) != len(ids)
+        meta = _json_section(meta, "meta")
+        if not isinstance(meta, dict) or any(
+            type(meta.get(key)) is not int or meta[key] < 0 for key in _META_KEYS
         ):
+            raise SnapshotError("snapshot meta needs non-negative integers " + ", ".join(_META_KEYS))
+        n, n_tokens, nnz = (meta[key] for key in _META_KEYS)
+        ids = _sorted_unique(_json_section(ids, "ids"), n, "ids")
+        tokens = _sorted_unique(_json_section(tokens, "tokens"), n_tokens, "tokens")
+        if len(offsets) != 8 * (n_tokens + 1) or len(flat) != 4 * nnz:
             raise SnapshotError("snapshot sections disagree on sizes")
+        offsets = np.frombuffer(offsets, dtype="<i8")
+        flat = np.frombuffer(flat, dtype="<i4")
+        _check_postings(offsets, flat, n)
 
         ix = cls()
-        ix._ids = list(ids)
-        ix._id_to_num = {fid: i for i, fid in enumerate(ids)}
-        ix._refs = list(refs)
-        ix._cards = [int(c) for c in cards]
-        ix._postings = {
-            t: flat[offsets[i]:offsets[i + 1]].tolist() for i, t in enumerate(tokens)
-        }
-        ix._finalized = _Finalized(
-            list(ids),
-            list(refs),
-            np.asarray(cards, dtype=np.int64),
-            {t: i for i, t in enumerate(tokens)},
-            offsets,
-            flat,
-        )
+        ix._view = _Finalized(ids, dict(zip(tokens, range(n_tokens))), offsets, flat)
+        ix._refs_section = (ids, refs)
         return ix
+
+
+def _read_section(fh, size: int) -> bytes:
+    header = fh.read(12)
+    if len(header) < 12:
+        raise SnapshotError("snapshot truncated in section header")
+    length, crc = struct.unpack("<QI", header)
+    if length > size - fh.tell():
+        raise SnapshotError("snapshot truncated in section payload")
+    payload = fh.read(length)
+    if zlib.crc32(payload) != crc:
+        raise SnapshotError("snapshot section failed checksum")
+    return payload
+
+
+def _json_section(payload: bytes, name: str):
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except ValueError as exc:
+        raise SnapshotError(f"snapshot {name} section is not valid JSON: {exc}") from exc
+
+
+def _sorted_unique(values, count: int, name: str) -> list[str]:
+    if not (isinstance(values, list) and len(values) == count and set(map(type, values)) <= {str}):
+        raise SnapshotError(f"snapshot {name} section is not a list of {count} strings")
+    if not all(map(str.__lt__, values, values[1:])):
+        raise SnapshotError(f"snapshot {name} are not sorted and unique")
+    return values
+
+
+def _check_postings(offsets: np.ndarray, flat: np.ndarray, n_docs: int) -> None:
+    if offsets[0] != 0 or offsets[-1] != len(flat) or np.any(offsets[1:] < offsets[:-1]):
+        raise SnapshotError("snapshot offsets do not rise from 0 to the posting count")
+    if len(flat) and (flat.min() < 0 or flat.max() >= n_docs):
+        raise SnapshotError(f"snapshot posting outside documents 0..{n_docs - 1}")
+    rising = flat[1:] > flat[:-1]
+    starts = offsets[1:-1]
+    rising[starts[(starts > 0) & (starts < len(flat))] - 1] = True
+    if not rising.all():
+        raise SnapshotError("snapshot postings do not strictly increase within a token")

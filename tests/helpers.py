@@ -6,7 +6,10 @@ library internals: exhaustive scans, direct counting, plain arithmetic.
 
 from __future__ import annotations
 
+import json
 import random
+import struct
+import zlib
 
 from asmsieve.schema import (
     ALGO_CATEGORIES,
@@ -113,3 +116,42 @@ def brute_force_metrics(
     mrr = sum(1.0 / r for r in ranks) / len(ranks)
     recall = sum(1 for r in ranks if r == 1) / len(ranks)
     return mrr, recall, ranks
+
+
+# Index snapshots, read and written per the layout in asmsieve.index's
+# docstring: magic, uint32 version, then (uint64 length, uint32 CRC32,
+# payload) sections.
+
+SNAPSHOT_MAGIC = b"ASMSIEVE1"
+
+
+def snapshot_sections(blob: bytes) -> list[bytes]:
+    """The section payloads of a well-formed snapshot."""
+    pos = len(SNAPSHOT_MAGIC) + 4
+    sections = []
+    while pos < len(blob):
+        length, _ = struct.unpack_from("<QI", blob, pos)
+        sections.append(blob[pos + 12 : pos + 12 + length])
+        pos += 12 + length
+    return sections
+
+
+def seal_snapshot(sections: list[bytes], version: int = 2) -> bytes:
+    """A snapshot file of these payloads, lengths and CRCs made to match."""
+    parts = [SNAPSHOT_MAGIC, struct.pack("<I", version)]
+    for payload in sections:
+        parts += [struct.pack("<QI", len(payload), zlib.crc32(payload)), payload]
+    return b"".join(parts)
+
+
+def snapshot_documents(sections: list[bytes]) -> dict[str, frozenset[str]]:
+    """The documents the ids, tokens, offsets and postings sections describe."""
+    ids, tokens = json.loads(sections[1]), json.loads(sections[3])
+    offsets = struct.unpack(f"<{len(sections[4]) // 8}q", sections[4])
+    postings = struct.unpack(f"<{len(sections[5]) // 4}i", sections[5])
+    docs: dict[str, set[str]] = {fid: set() for fid in ids}
+    for t, token in enumerate(tokens):
+        for doc in postings[offsets[t] : offsets[t + 1]]:
+            assert 0 <= doc < len(ids), f"posting {doc} names no document"
+            docs[ids[doc]].add(token)
+    return {fid: frozenset(tokens) for fid, tokens in docs.items()}

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from asmsieve import cli
 from asmsieve.schema import validate, save_features
 from asmsieve.similarity import save_embeddings
+from helpers import seal_snapshot, snapshot_sections
 
 DATA = Path(__file__).parent / "data"
 MINI = DATA / "mini"
@@ -176,6 +178,24 @@ class TestIndexSearch:
         snap = tmp_path / "index.snap"
         snap.write_bytes(b"garbage")
         assert run(["search", "--index", str(snap), "--query", str(features_file)]) == 2
+
+    def test_invalid_snapshot_exit_2(self, features_file, tmp_path, capsys):
+        # CRCs intact, but the last posting names a document past the last.
+        snap = tmp_path / "index.snap"
+        run(["index", "--features", str(features_file), "-o", str(snap)])
+        sections = snapshot_sections(snap.read_bytes())
+        n_docs = json.loads(sections[0])["n_docs"]
+        sections[5] = sections[5][:-4] + struct.pack("<i", n_docs)
+        snap.write_bytes(seal_snapshot(sections))
+        assert run(["search", "--index", str(snap), "--query", str(features_file)]) == 2
+        assert "posting outside documents" in capsys.readouterr().err
+
+    def test_version_1_snapshot_exit_2(self, features_file, tmp_path, capsys):
+        snap = tmp_path / "index.snap"
+        run(["index", "--features", str(features_file), "-o", str(snap)])
+        snap.write_bytes(seal_snapshot(snapshot_sections(snap.read_bytes()), version=1))
+        assert run(["search", "--index", str(snap), "--query", str(features_file)]) == 2
+        assert "re-run `asmsieve index`" in capsys.readouterr().err
 
     def test_parallel_search_matches_serial(self, features_file, tmp_path):
         snap = tmp_path / "index.snap"

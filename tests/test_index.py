@@ -1,5 +1,10 @@
+import json
 import random
+import struct
+import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +21,19 @@ from asmsieve.errors import (
 )
 from asmsieve.index import InvertedIndex, SearchResult
 from asmsieve.similarity import EmbeddingStore, TokenSet, cosine, jaccard
-from helpers import exhaustive_search, random_token_set
+from helpers import (
+    exhaustive_search,
+    random_token_set,
+    seal_snapshot,
+    snapshot_documents,
+    snapshot_sections,
+)
 
 
-def build_index(docs):
+def build_index(docs, ref=lambda fid: None):
     ix = InvertedIndex()
     for fid, tokens in docs.items():
-        ix.add(fid, tokens)
+        ix.add(fid, tokens, ref=ref(fid))
     return ix
 
 
@@ -157,6 +168,10 @@ def tie_heavy_corpus(draw):
     return docs, order, draw(subsets), draw(st.integers(1, n))
 
 
+def _ref(fid):
+    return None if fid.endswith("0") else f"ref-{fid}"
+
+
 class TestTieHeavyExactness:
     @staticmethod
     def _assert_exhaustive(ix, docs, query):
@@ -165,27 +180,74 @@ class TestTieHeavyExactness:
         for k in range(1, len(docs) + 3):
             assert list(ix.search(query, k).entries) == exhaustive_search(docs, query, k)
 
+    @staticmethod
+    def _assert_documents(ix, docs):
+        assert len(ix) == len(docs)
+        assert all(fid in ix for fid in docs)
+        assert "absent" not in ix
+        for fid, tokens in docs.items():
+            assert ix.document_ref(fid) == _ref(fid)
+            assert ix.cardinality(fid) == len(tokens)
+
+    @staticmethod
+    def _loaded_then_added(tmp, docs, first, rest):
+        """``first`` persisted and loaded, then ``rest`` added (still pending)."""
+        partial = build_index({fid: docs[fid] for fid in first}, ref=_ref)
+        path = Path(tmp) / "partial.snap"
+        partial.persist(path)
+        loaded = InvertedIndex.load(path)
+        for fid in rest:
+            loaded.add(fid, docs[fid], ref=_ref(fid))
+        return loaded
+
     @given(tie_heavy_corpus())
     @settings(max_examples=60, deadline=None)
     def test_fresh_loaded_and_updated_match_exhaustive_scan(self, corpus):
         docs, order, query, split = corpus
         first, rest = order[:split], order[split:]
-        ix = InvertedIndex()
-        for fid in order:
-            ix.add(fid, docs[fid])
+        ix = build_index({fid: docs[fid] for fid in order}, ref=_ref)
+        self._assert_documents(ix, docs)
         self._assert_exhaustive(ix, docs, query)
 
-        partial = InvertedIndex()
-        for fid in first:
-            partial.add(fid, docs[fid])
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "index.snap"
-            partial.persist(path)
-            loaded = InvertedIndex.load(path)
-        self._assert_exhaustive(loaded, {fid: docs[fid] for fid in first}, query)
-        for fid in rest:
-            loaded.add(fid, docs[fid])
-        self._assert_exhaustive(loaded, docs, query)
+            loaded = self._loaded_then_added(tmp, docs, first, [])
+            first_docs = {fid: docs[fid] for fid in first}
+            self._assert_documents(loaded, first_docs)
+            self._assert_exhaustive(loaded, first_docs, query)
+            for fid in rest:
+                loaded.add(fid, docs[fid], ref=_ref(fid))
+            self._assert_documents(loaded, docs)
+            self._assert_exhaustive(loaded, docs, query)
+
+            # The same documents give the same bytes, however they arrived.
+            fresh_path, loaded_path = Path(tmp) / "fresh.snap", Path(tmp) / "loaded.snap"
+            ix.persist(fresh_path)
+            loaded.persist(loaded_path)
+            assert fresh_path.read_bytes() == loaded_path.read_bytes()
+
+    @given(tie_heavy_corpus())
+    @settings(max_examples=20, deadline=None)
+    def test_threads_search_while_adds_are_pending(self, corpus):
+        # The first search merges the pending documents; four threads race to it.
+        docs, order, query, split = corpus
+        with tempfile.TemporaryDirectory() as tmp:
+            ix = self._loaded_then_added(tmp, docs, order[: split - 1], order[split - 1 :])
+        ks = range(1, len(docs) + 3)
+        barrier = threading.Barrier(4, timeout=30)
+
+        def search_all(_):
+            barrier.wait()
+            return [list(ix.search(query, k).entries) for k in ks]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(search_all, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [exhaustive_search(docs, query, k) for k in ks]
+        assert all(result == expected for result in results)
 
 
 class TestPrefilterRerank:
@@ -308,6 +370,155 @@ class TestPersistence:
         path = tmp_path / "index.snap"
         ix.persist(path)
         assert InvertedIndex.load(path).document_ref("a") == "canonical-a"
+
+
+def _mutate_section(data, sections):
+    """Change one section: a raw byte, a cut, or (decoded) a swapped, copied,
+    dropped or retyped element, a dropped or altered meta key, a new integer."""
+    s = data.draw(st.integers(0, len(sections) - 1), label="section")
+    payload = sections[s]
+    how = data.draw(st.sampled_from(["byte", "cut", "value"]), label="how")
+    if how == "byte" and payload:
+        i = data.draw(st.integers(0, len(payload) - 1))
+        payload = payload[:i] + bytes([data.draw(st.integers(0, 255))]) + payload[i + 1 :]
+    elif how == "cut":
+        payload = payload[: data.draw(st.integers(0, len(payload)))] + data.draw(st.binary(max_size=4))
+    elif how == "value" and s == 0:
+        try:
+            meta = json.loads(payload)
+        except ValueError:
+            return
+        if not isinstance(meta, dict) or not meta:  # an earlier change left no keys
+            return
+        key = data.draw(st.sampled_from(sorted(meta)))
+        near = [meta[key] - 1, meta[key] + 1] if type(meta[key]) is int else []
+        if data.draw(st.booleans()):
+            del meta[key]
+        else:
+            meta[key] = data.draw(st.sampled_from([-1, 0, *near, "1", None, True, 1.5]))
+        payload = json.dumps(meta).encode()
+    elif how == "value":
+        fmt = {4: "q", 5: "i"}.get(s)
+        try:
+            values = (
+                list(struct.unpack(f"<{len(payload) // struct.calcsize(fmt)}{fmt}", payload))
+                if fmt else list(json.loads(payload))
+            )
+        except (ValueError, TypeError, struct.error):  # an earlier change left no list
+            return
+        if values:
+            i, j = (data.draw(st.integers(0, len(values) - 1)) for _ in range(2))
+            op = data.draw(st.sampled_from(["swap", "copy", "drop", "set"]))
+            if op == "swap":
+                values[i], values[j] = values[j], values[i]
+            elif op == "copy":
+                values[i] = values[j]
+            elif op == "drop":
+                del values[i]
+            elif fmt:
+                values[i] = min(data.draw(st.sampled_from([-1, 0, values[j] + 1, len(values)])), 2**31 - 1)
+            else:
+                values[i] = data.draw(st.sampled_from([None, 0, ["x"], "zz", ""]))
+        payload = struct.pack(f"<{len(values)}{fmt}", *values) if fmt else json.dumps(values).encode()
+    sections[s] = payload
+
+
+def _persisted_sections(docs, tmp_path):
+    path = tmp_path / "index.snap"
+    build_index(docs, ref=_ref).persist(path)
+    return path, snapshot_sections(path.read_bytes())
+
+
+class TestSnapshotValidation:
+    DOCS = {"a": frozenset({"t1", "t2"}), "b": frozenset({"t2", "t3"}), "c": frozenset({"t1"})}
+
+    @staticmethod
+    def _swap_ids(sections):
+        ids = json.loads(sections[1])
+        ids[0], ids[1] = ids[1], ids[0]
+        sections[1] = json.dumps(ids).encode()
+
+    @staticmethod
+    def _drop_meta_key(sections):
+        meta = json.loads(sections[0])
+        del meta["nnz"]
+        sections[0] = json.dumps(meta).encode()
+
+    @staticmethod
+    def _decreasing_offsets(sections):
+        offsets = list(struct.unpack(f"<{len(sections[4]) // 8}q", sections[4]))
+        offsets[1] = offsets[2] + 1
+        sections[4] = struct.pack(f"<{len(offsets)}q", *offsets)
+
+    # The last token, "t3", has the one posting [1]; these keep it rising.
+    @staticmethod
+    def _posting_past_last_document(sections):
+        sections[5] = sections[5][:-4] + struct.pack("<i", 3)
+
+    @staticmethod
+    def _negative_posting(sections):
+        sections[5] = sections[5][:-4] + struct.pack("<i", -1)
+
+    @staticmethod
+    def _postings_not_rising(sections):
+        sections[5] = sections[5][4:8] + sections[5][:4] + sections[5][8:]
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            _swap_ids,
+            _drop_meta_key,
+            _decreasing_offsets,
+            _posting_past_last_document,
+            _negative_posting,
+            _postings_not_rising,
+        ],
+    )
+    def test_known_faults_rejected(self, tmp_path, fault):
+        path, sections = _persisted_sections(self.DOCS, tmp_path)
+        fault.__func__(sections)
+        path.write_bytes(seal_snapshot(sections))
+        with pytest.raises(SnapshotError):
+            InvertedIndex.load(path)
+
+    def test_version_1_rejected_with_hint(self, tmp_path):
+        path, sections = _persisted_sections(self.DOCS, tmp_path)
+        path.write_bytes(seal_snapshot(sections, version=1))
+        with pytest.raises(SnapshotError, match=r"unsupported snapshot version 1 .*asmsieve index"):
+            InvertedIndex.load(path)
+
+    def test_bad_refs_fail_when_read(self, tmp_path):
+        path, sections = _persisted_sections(self.DOCS, tmp_path)
+        sections[2] = b'["only one"]'
+        path.write_bytes(seal_snapshot(sections))
+        loaded = InvertedIndex.load(path)  # refs are decoded on first use
+        assert loaded.search({"t1"}, 1).ids() == ["c"]
+        with pytest.raises(SnapshotError, match="refs"):
+            loaded.document_ref("a")
+
+    @given(tie_heavy_corpus(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_snapshot_fails_or_searches_exactly(self, corpus, data):
+        docs, order, query, _ = corpus
+        with tempfile.TemporaryDirectory() as tmp:
+            path, sections = _persisted_sections({fid: docs[fid] for fid in order}, Path(tmp))
+            for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+                _mutate_section(data, sections)
+            path.write_bytes(seal_snapshot(sections))
+            try:
+                loaded = InvertedIndex.load(path)
+            except SnapshotError:
+                return
+        described = snapshot_documents(sections)
+        assert len(loaded) == len(described)
+        for k in range(1, len(described) + 3):
+            assert list(loaded.search(query, k).entries) == exhaustive_search(described, query, k)
+        ids = json.loads(sections[1])
+        try:
+            refs = [loaded.document_ref(fid) for fid in ids]
+        except SnapshotError:
+            return
+        assert refs == json.loads(sections[2])
 
 
 class TestKernelBackends:
