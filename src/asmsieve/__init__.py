@@ -19,7 +19,7 @@ from .corpus import (
 from .errors import AsmsieveError
 from .evaluation import EvalPool, EvalReport, ablation_grid, evaluate_pool, grid_cells, sample_pool
 from .extraction import ClientTranscript, RetryPolicy, extract_features
-from .fixtures import FixtureStore, ReplayClient, record_fixture, replay_client
+from .fixtures import FixtureStore, ReplayClient, record_fixture
 from .index import InvertedIndex, SearchResult
 from .prompts import PromptConfig, build_prompt, load_example_bank
 from .schema import FeatureSet, canonicalize, diff, validate
@@ -72,7 +72,6 @@ __all__ = [
     "load_example_bank",
     "parse_listing",
     "record_fixture",
-    "replay_client",
     "sample_pool",
     "save_corpus",
     "static_extract",

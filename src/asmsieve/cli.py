@@ -121,22 +121,7 @@ def cmd_ingest(args) -> int:
         functions = [corpus_mod.truncate(fn, args.max_instr) for fn in functions]
     out = _open_out(args.output)
     try:
-        for fn in functions:
-            out.write(
-                json.dumps(
-                    {
-                        "id": fn.id,
-                        "library": fn.library,
-                        "source_symbol": fn.source_symbol,
-                        "arch": fn.arch,
-                        "opt_level": fn.opt_level,
-                        "instructions": list(fn.instructions),
-                        "truncated": fn.truncated,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        out.writelines(map(corpus_mod.corpus_line, functions))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -229,7 +214,7 @@ def cmd_index(args) -> int:
     fcfg = _flatten_config(args)
     ix = InvertedIndex()
     for fid, fs in features.items():
-        ix.add(fid, flatten(fs, fcfg, source=fid), ref=schema_mod.canonicalize(fs))
+        ix.add(fid, flatten(fs, fcfg, source=fid))
     ix.persist(args.output)
     print(f"indexed {len(ix)} document(s) -> {args.output}", file=sys.stderr)
     return EXIT_OK

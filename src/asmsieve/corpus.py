@@ -234,24 +234,23 @@ def build_pairs(
     return pairs
 
 
+def corpus_line(fn: AssemblyFunction) -> str:
+    """One corpus-file record: compact JSON ending in a newline."""
+    record = {
+        "id": fn.id,
+        "library": fn.library,
+        "source_symbol": fn.source_symbol,
+        "arch": fn.arch,
+        "opt_level": fn.opt_level,
+        "instructions": list(fn.instructions),
+        "truncated": fn.truncated,
+    }
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
 def save_corpus(path, fns: Iterable[AssemblyFunction]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for fn in fns:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": fn.id,
-                        "library": fn.library,
-                        "source_symbol": fn.source_symbol,
-                        "arch": fn.arch,
-                        "opt_level": fn.opt_level,
-                        "instructions": list(fn.instructions),
-                        "truncated": fn.truncated,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        fh.writelines(map(corpus_line, fns))
 
 
 def load_corpus(path) -> list[AssemblyFunction]:

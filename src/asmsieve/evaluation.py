@@ -21,7 +21,7 @@ from .errors import (
     MissingFeatureError,
 )
 from .extraction import RetryPolicy, extract_features
-from .fixtures import FixtureStore, replay_client
+from .fixtures import FixtureStore, ReplayClient
 from .prompts import SECTIONS, PromptConfig, PromptExample
 from .similarity import EmbeddingStore, TokenSet, cosine, flatten, hybrid, jaccard
 
@@ -246,7 +246,7 @@ def ablation_grid(
     absent = [fid for fid in needed if fid not in functions]
     if absent:
         raise MissingFeatureError("no function records for id(s): " + ", ".join(absent))
-    client = replay_client(store)
+    client = ReplayClient(store)
     bank = tuple(bank) if bank is not None else None
 
     rows: list[tuple[str, str, EvalReport]] = []

@@ -112,10 +112,6 @@ class RecordingClient:
         return response
 
 
-def replay_client(store: FixtureStore) -> ReplayClient:
-    return ReplayClient(store)
-
-
 def record_fixture(transcript, store: FixtureStore) -> str:
     """Persist every attempt of a transcript; returns the fixture id (prompt hash)."""
     for i, attempt in enumerate(transcript.attempts):

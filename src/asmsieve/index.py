@@ -2,10 +2,11 @@
 
 Search returns precisely the exhaustive-scan Jaccard ranking: overlap counts
 are accumulated from posting lists, |A ∪ B| follows from |A| + |B| − |A ∩ B|,
-and only documents sharing at least one token are scored. Zero-overlap
-documents are appended in id order when needed to fill ``k``. Ties break by
-ascending function id, so results are identical no matter the insertion
-order.
+and only documents sharing at least one token are scored, except that the
+empty query scores the empty documents 1.0, as ``similarity.jaccard`` does two
+empty sets. The others score 0.0 and are appended in id order when needed to
+fill ``k``. Ties break by ascending function id, so results are identical no
+matter the insertion order.
 
 Ranking cost per query: one pass over the matched postings to accumulate
 overlaps, a linear-time selection of the k-th best score among the touched
@@ -14,22 +15,22 @@ documents, and a sort of only the documents scoring above it (fewer than
 
 The documents live only in the CSR arrays of ``_Finalized``; ``add`` buffers
 new ones until the next search, ``persist`` or ``cardinality`` merges them in.
+The index holds token sets only; the readable documents stay in the features
+file they were flattened from.
 
 Snapshot layout (all integers little-endian): the magic ``ASMSIEVE1``, a
-uint32 version (``SNAPSHOT_VERSION``), then six sections, each a uint64
+uint32 version (``SNAPSHOT_VERSION``), then five sections, each a uint64
 payload length and a uint32 CRC32 of the payload, followed by the payload:
 
 1. meta: JSON object ``{"n_docs", "n_tokens", "nnz"}``;
 2. ids: JSON list of the ``n_docs`` function ids, sorted and unique;
-3. refs: JSON list of the ``n_docs`` refs (string or null), in id order;
-4. tokens: JSON list of the ``n_tokens`` tokens, sorted and unique;
-5. offsets: ``n_tokens + 1`` int64, from 0 to ``nnz``, non-decreasing;
-6. postings: ``nnz`` int32 document numbers; token ``i``'s postings are
+3. tokens: JSON list of the ``n_tokens`` tokens, sorted and unique;
+4. offsets: ``n_tokens + 1`` int64, from 0 to ``nnz``, non-decreasing;
+5. postings: ``nnz`` int32 document numbers; token ``i``'s postings are
    ``postings[offsets[i]:offsets[i + 1]]``, strictly increasing.
 
 ``load`` checks the CRCs and every invariant above, raising ``SnapshotError``,
-and installs the offsets and postings as read. The refs section stays
-undecoded, and unchecked, until ``document_ref`` or ``persist`` needs it.
+and installs the offsets and postings as read.
 
 Concurrency: any number of threads may search; adding documents or
 persisting requires exclusive access.
@@ -57,10 +58,17 @@ from .errors import (
     MissingEmbeddingError,
     SnapshotError,
 )
-from .similarity import EmbeddingStore, EmbeddingVector, TokenSet, cosine, hybrid
+from .similarity import (
+    EmbeddingStore,
+    EmbeddingVector,
+    TokenSet,
+    _as_token_frozenset,
+    cosine,
+    hybrid,
+)
 
 SNAPSHOT_MAGIC = b"ASMSIEVE1"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 _META_KEYS = ("n_docs", "n_tokens", "nnz")
 
 
@@ -100,26 +108,16 @@ class _Finalized:
         return i if i < len(self.ids) and self.ids[i] == fid else None
 
 
-def _as_tokens(tokens: TokenSet | Iterable[str]) -> frozenset[str]:
-    if isinstance(tokens, TokenSet):
-        return tokens.tokens
-    return frozenset(tokens)
-
-
 class InvertedIndex:
     def __init__(self) -> None:
         self._view = _Finalized([], {}, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32))
-        # Refs by id. A loaded refs section stays undecoded, beside the ids it
-        # follows, until a ref is read or the index persisted.
-        self._refs_by_id: dict[str, str | None] = {}
-        self._refs_section: tuple[list[str], bytes] | None = None
         self._reset_buffer()
         self._lock = threading.Lock()
 
     def _reset_buffer(self) -> None:
         """Ids added since the last merge, their tokens' provisional numbers
         and their token counts, in add order."""
-        self._new: list[str] = []
+        self._new: dict[str, None] = {}  # insertion-ordered, so a set in add order
         # Looking up a token the vocabulary lacks numbers it len(vocab).
         self._vocab: defaultdict[str, int] = defaultdict()
         self._vocab.default_factory = self._vocab.__len__
@@ -130,20 +128,16 @@ class InvertedIndex:
         return len(self._view.ids) + len(self._new)
 
     def __contains__(self, fid: str) -> bool:
-        return fid in self._refs_by_id or self._view.doc(fid) is not None
+        return fid in self._new or self._view.doc(fid) is not None
 
-    def add(self, fid: str, tokens: TokenSet | Iterable[str], ref: str | None = None) -> None:
-        """Register a document. ``ref`` optionally stores its canonical text."""
+    def add(self, fid: str, tokens: TokenSet | Iterable[str]) -> None:
+        """Register a document by its token set."""
         if fid in self:
             raise DuplicateIdError(f"function id {fid!r} is already indexed")
-        tokset = _as_tokens(tokens)
+        tokset = _as_token_frozenset(tokens)
         self._tok.extend(map(self._vocab.__getitem__, tokset))
         self._lens.append(len(tokset))
-        self._new.append(fid)
-        self._refs_by_id[fid] = ref
-
-    def document_ref(self, fid: str) -> str | None:
-        return self._decoded_refs()[fid]
+        self._new[fid] = None
 
     def cardinality(self, fid: str) -> int:
         fin = self._ensure_finalized()
@@ -151,21 +145,6 @@ class InvertedIndex:
         if doc is None:
             raise KeyError(fid)
         return int(fin.cards[doc])
-
-    def _decoded_refs(self) -> dict[str, str | None]:
-        with self._lock:
-            if self._refs_section is not None:
-                ids, payload = self._refs_section
-                refs = _json_section(payload, "refs")
-                if not (
-                    isinstance(refs, list)
-                    and len(refs) == len(ids)
-                    and set(map(type, refs)) <= {str, type(None)}
-                ):
-                    raise SnapshotError(f"snapshot refs section is not {len(ids)} strings or nulls")
-                self._refs_by_id = {**dict(zip(ids, refs)), **self._refs_by_id}
-                self._refs_section = None
-            return self._refs_by_id
 
     def _ensure_finalized(self) -> _Finalized:
         """Merge the buffered documents into the view: renumber the docs in
@@ -175,7 +154,7 @@ class InvertedIndex:
             if not self._new:
                 return self._view
             old, n_old, n = self._view, len(self._view.ids), len(self)
-            ids = old.ids + self._new
+            ids = old.ids + list(self._new)
             order = sorted(range(n), key=ids.__getitem__)
             rank = np.empty(n, dtype=np.int64)
             rank[order] = np.arange(n)
@@ -212,7 +191,7 @@ class InvertedIndex:
         fin = self._ensure_finalized()
         if not fin.ids:
             raise ValueError("search on an empty index")
-        qtokens = _as_tokens(query)
+        qtokens = _as_token_frozenset(query)
         qlen = len(qtokens)
         tids = sorted(fin.token_ids[t] for t in qtokens if t in fin.token_ids)
         n = len(fin.ids)
@@ -220,14 +199,17 @@ class InvertedIndex:
         counts = _kernels.accumulate_counts(
             fin.flat, fin.offsets[tid_arr], fin.offsets[tid_arr + 1], n
         )
-        touched = np.flatnonzero(counts != 0)
+        # The scored documents: those sharing a token with the query, or for
+        # the empty query the empty documents, which score 1.0 as in jaccard.
+        hit = counts != 0 if qlen else fin.cards == 0
+        touched = np.flatnonzero(hit)
         inter = counts[touched]
-        scores = inter / (qlen + fin.cards[touched] - inter)
+        scores = inter / (qlen + fin.cards[touched] - inter) if qlen else np.ones(len(touched))
 
         # Only documents scoring above the k-th best score are sorted. The
         # ties at that score follow in ascending doc number, which is the
-        # tie-break order already; when fewer than k documents are touched,
-        # the "ties" are the zero-overlap documents at score 0.0.
+        # tie-break order already; when k or fewer documents are touched,
+        # the "ties" are the unscored documents at score 0.0.
         k_eff = min(k, n)
         if len(touched) > k_eff:
             # The k-th largest score, taken as the k-th smallest of the negated
@@ -238,7 +220,7 @@ class InvertedIndex:
             ties = touched[scores == kth]
         else:
             kth = 0.0
-            ties = np.flatnonzero(counts == 0)
+            ties = np.flatnonzero(~hit)
         above = np.flatnonzero(scores > kth)
         above = above[np.lexsort((above, -scores[above]))]
         entries = [
@@ -279,13 +261,12 @@ class InvertedIndex:
     def persist(self, path) -> None:
         """Write a versioned single-file snapshot (see module docs for layout)."""
         fin = self._ensure_finalized()
-        refs = self._decoded_refs()
         tokens = list(fin.token_ids)
         meta = {"n_docs": len(fin.ids), "n_tokens": len(tokens), "nnz": len(fin.flat)}
         sections = [
             *(
                 json.dumps(value, separators=(",", ":")).encode("utf-8")
-                for value in (meta, fin.ids, list(map(refs.__getitem__, fin.ids)), tokens)
+                for value in (meta, fin.ids, tokens)
             ),
             np.ascontiguousarray(fin.offsets, dtype="<i8").tobytes(),
             np.ascontiguousarray(fin.flat, dtype="<i4").tobytes(),
@@ -311,7 +292,7 @@ class InvertedIndex:
                     f"unsupported snapshot version {version} (this build reads version "
                     f"{SNAPSHOT_VERSION}); re-run `asmsieve index` to rebuild the snapshot"
                 )
-            meta, ids, refs, tokens, offsets, flat = (_read_section(fh, size) for _ in range(6))
+            meta, ids, tokens, offsets, flat = (_read_section(fh, size) for _ in range(5))
             if fh.read(1):
                 raise SnapshotError("snapshot holds trailing bytes")
 
@@ -331,7 +312,6 @@ class InvertedIndex:
 
         ix = cls()
         ix._view = _Finalized(ids, dict(zip(tokens, range(n_tokens))), offsets, flat)
-        ix._refs_section = (ids, refs)
         return ix
 
 

@@ -75,10 +75,6 @@ class Prompt:
     user: str
 
 
-def requested_fields(cfg: PromptConfig) -> tuple[str, ...]:
-    return cfg.enabled_fields
-
-
 def _asset_text(name: str) -> str:
     return resources.files("asmsieve").joinpath("assets", name).read_text(encoding="utf-8")
 

@@ -452,8 +452,14 @@ def load_features(path) -> dict[str, FeatureSet]:
                 raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict) or "id" not in obj or "features" not in obj:
                 raise SchemaError(f"{path}:{line_no}: expected keys 'id' and 'features'")
-            fs = validate(obj["features"], required_fields=obj.get("present") or None)
-            out[obj["id"]] = fs
+            fid, present = obj["id"], obj.get("present")
+            if not isinstance(fid, str):
+                raise SchemaError(f"{path}:{line_no}: 'id' must be a string")
+            if present is not None and not (
+                isinstance(present, list) and all(isinstance(name, str) for name in present)
+            ):
+                raise SchemaError(f"{path}:{line_no}: 'present' must be a list of field names")
+            out[fid] = validate(obj["features"], required_fields=present or None)
     return out
 
 

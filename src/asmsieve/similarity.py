@@ -222,9 +222,13 @@ def load_embeddings(path) -> EmbeddingStore:
                 raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             if not isinstance(obj, Mapping) or "id" not in obj or "values" not in obj:
                 raise SchemaError(f"{path}:{line_no}: expected keys 'id' and 'values'")
+            if not isinstance(obj["id"], str):
+                raise SchemaError(f"{path}:{line_no}: 'id' must be a string")
+            if not isinstance(obj["values"], list):
+                raise SchemaError(f"{path}:{line_no}: 'values' must be a list of numbers")
             try:
                 store.add(obj["id"], obj["values"])
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:  # an element that is not a number
                 raise SchemaError(f"{path}:{line_no}: {exc}") from exc
     return store
 

@@ -88,13 +88,12 @@ def random_token_set(rng: random.Random, vocab: list[str], max_tokens: int = 40)
 def exhaustive_search(
     docs: dict[str, frozenset[str]], query: frozenset[str], k: int
 ) -> list[tuple[str, float]]:
-    """Reference ranking: score every document, overlap-free documents score
-    0.0, order by descending score then ascending id."""
+    """Reference ranking: score every document |A ∩ B| / |A ∪ B|, or 1.0 when
+    both sets are empty, order by descending score then ascending id."""
     scored = []
     for fid, tokens in docs.items():
-        inter = len(query & tokens)
-        score = inter / len(query | tokens) if inter else 0.0
-        scored.append((fid, score))
+        union = len(query | tokens)
+        scored.append((fid, len(query & tokens) / union if union else 1.0))
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[: min(k, len(scored))]
 
@@ -136,7 +135,7 @@ def snapshot_sections(blob: bytes) -> list[bytes]:
     return sections
 
 
-def seal_snapshot(sections: list[bytes], version: int = 2) -> bytes:
+def seal_snapshot(sections: list[bytes], version: int = 3) -> bytes:
     """A snapshot file of these payloads, lengths and CRCs made to match."""
     parts = [SNAPSHOT_MAGIC, struct.pack("<I", version)]
     for payload in sections:
@@ -146,9 +145,9 @@ def seal_snapshot(sections: list[bytes], version: int = 2) -> bytes:
 
 def snapshot_documents(sections: list[bytes]) -> dict[str, frozenset[str]]:
     """The documents the ids, tokens, offsets and postings sections describe."""
-    ids, tokens = json.loads(sections[1]), json.loads(sections[3])
-    offsets = struct.unpack(f"<{len(sections[4]) // 8}q", sections[4])
-    postings = struct.unpack(f"<{len(sections[5]) // 4}i", sections[5])
+    ids, tokens = json.loads(sections[1]), json.loads(sections[2])
+    offsets = struct.unpack(f"<{len(sections[3]) // 8}q", sections[3])
+    postings = struct.unpack(f"<{len(sections[4]) // 4}i", sections[4])
     docs: dict[str, set[str]] = {fid: set() for fid in ids}
     for t, token in enumerate(tokens):
         for doc in postings[offsets[t] : offsets[t + 1]]:

@@ -185,7 +185,7 @@ class TestIndexSearch:
         run(["index", "--features", str(features_file), "-o", str(snap)])
         sections = snapshot_sections(snap.read_bytes())
         n_docs = json.loads(sections[0])["n_docs"]
-        sections[5] = sections[5][:-4] + struct.pack("<i", n_docs)
+        sections[4] = sections[4][:-4] + struct.pack("<i", n_docs)
         snap.write_bytes(seal_snapshot(sections))
         assert run(["search", "--index", str(snap), "--query", str(features_file)]) == 2
         assert "posting outside documents" in capsys.readouterr().err
@@ -193,9 +193,17 @@ class TestIndexSearch:
     def test_version_1_snapshot_exit_2(self, features_file, tmp_path, capsys):
         snap = tmp_path / "index.snap"
         run(["index", "--features", str(features_file), "-o", str(snap)])
-        snap.write_bytes(seal_snapshot(snapshot_sections(snap.read_bytes()), version=1))
-        assert run(["search", "--index", str(snap), "--query", str(features_file)]) == 2
-        assert "re-run `asmsieve index`" in capsys.readouterr().err
+        sections = snapshot_sections(snap.read_bytes())
+        for version in (1, 2):  # version 2 still held a refs section
+            snap.write_bytes(seal_snapshot(sections, version=version))
+            assert run(["search", "--index", str(snap), "--query", str(features_file)]) == 2
+            assert "re-run `asmsieve index`" in capsys.readouterr().err
+
+    def test_malformed_features_record_exit_2(self, tmp_path, capsys):
+        features = tmp_path / "features.jsonl"
+        features.write_text('{"id":"a","present":5,"features":{"loop":true}}\n')
+        assert run(["index", "--features", str(features), "-o", str(tmp_path / "ix")]) == 2
+        assert ":1: 'present' must be a list" in capsys.readouterr().err
 
     def test_parallel_search_matches_serial(self, features_file, tmp_path):
         snap = tmp_path / "index.snap"

@@ -17,7 +17,6 @@ from asmsieve.fixtures import (
     ReplayClient,
     prompt_sha256,
     record_fixture,
-    replay_client,
 )
 from asmsieve.clients import StaticAnalysisClient
 from asmsieve.prompts import PromptConfig, load_example_bank
@@ -169,7 +168,7 @@ class TestFixtures:
         fixture_id = record_fixture(transcript, store)
         assert fixture_id == transcript.prompt_hash
         # the recorded second attempt replays at its temperature
-        replay = replay_client(store)
+        replay = ReplayClient(store)
         fs2, transcript2 = extract_features(
             fn, replay, policy=RetryPolicy(base_temperature=0.4), bank=bank
         )
@@ -185,7 +184,7 @@ class TestFixtures:
         extract_features(fn, recording, bank=bank)
         canon = []
         for _ in range(2):
-            fs, _ = extract_features(fn, replay_client(store), bank=bank)
+            fs, _ = extract_features(fn, ReplayClient(store), bank=bank)
             from asmsieve.schema import canonicalize
 
             canon.append(canonicalize(fs))

@@ -30,10 +30,10 @@ from helpers import (
 )
 
 
-def build_index(docs, ref=lambda fid: None):
+def build_index(docs):
     ix = InvertedIndex()
     for fid, tokens in docs.items():
-        ix.add(fid, tokens, ref=ref(fid))
+        ix.add(fid, tokens)
     return ix
 
 
@@ -61,11 +61,6 @@ class TestAdd:
         with pytest.raises(DuplicateIdError):
             ix.add("a", {"u"})
 
-    def test_ref_stored(self):
-        ix = InvertedIndex()
-        ix.add("a", {"t"}, ref='{"x":1}')
-        assert ix.document_ref("a") == '{"x":1}'
-
 
 class TestSearch:
     def test_identity_query(self):
@@ -91,6 +86,13 @@ class TestSearch:
         ix = build_index(docs)
         result = ix.search({"nope"}, 5)
         assert result.entries == tuple((f"d{i}", 0.0) for i in range(5))
+
+    def test_empty_query_scores_empty_documents_one(self):
+        docs = {"a": frozenset(), "b": frozenset({"t"}), "c": frozenset()}
+        ix = build_index(docs)
+        assert ix.search([], 3).entries == (("a", 1.0), ("c", 1.0), ("b", 0.0))
+        assert ix.search([], 1).entries == (("a", jaccard([], docs["a"])),)
+        assert ix.search({"t"}, 3).entries == (("b", 1.0), ("a", 0.0), ("c", 0.0))
 
     def test_k_validation(self):
         ix = build_index({"a": {"t"}})
@@ -168,10 +170,6 @@ def tie_heavy_corpus(draw):
     return docs, order, draw(subsets), draw(st.integers(1, n))
 
 
-def _ref(fid):
-    return None if fid.endswith("0") else f"ref-{fid}"
-
-
 class TestTieHeavyExactness:
     @staticmethod
     def _assert_exhaustive(ix, docs, query):
@@ -186,18 +184,17 @@ class TestTieHeavyExactness:
         assert all(fid in ix for fid in docs)
         assert "absent" not in ix
         for fid, tokens in docs.items():
-            assert ix.document_ref(fid) == _ref(fid)
             assert ix.cardinality(fid) == len(tokens)
 
     @staticmethod
     def _loaded_then_added(tmp, docs, first, rest):
         """``first`` persisted and loaded, then ``rest`` added (still pending)."""
-        partial = build_index({fid: docs[fid] for fid in first}, ref=_ref)
+        partial = build_index({fid: docs[fid] for fid in first})
         path = Path(tmp) / "partial.snap"
         partial.persist(path)
         loaded = InvertedIndex.load(path)
         for fid in rest:
-            loaded.add(fid, docs[fid], ref=_ref(fid))
+            loaded.add(fid, docs[fid])
         return loaded
 
     @given(tie_heavy_corpus())
@@ -205,7 +202,7 @@ class TestTieHeavyExactness:
     def test_fresh_loaded_and_updated_match_exhaustive_scan(self, corpus):
         docs, order, query, split = corpus
         first, rest = order[:split], order[split:]
-        ix = build_index({fid: docs[fid] for fid in order}, ref=_ref)
+        ix = build_index({fid: docs[fid] for fid in order})
         self._assert_documents(ix, docs)
         self._assert_exhaustive(ix, docs, query)
 
@@ -215,7 +212,7 @@ class TestTieHeavyExactness:
             self._assert_documents(loaded, first_docs)
             self._assert_exhaustive(loaded, first_docs, query)
             for fid in rest:
-                loaded.add(fid, docs[fid], ref=_ref(fid))
+                loaded.add(fid, docs[fid])
             self._assert_documents(loaded, docs)
             self._assert_exhaustive(loaded, docs, query)
 
@@ -364,13 +361,6 @@ class TestPersistence:
         # c matches exactly (1.0), b shares one of two tokens (0.5)
         assert loaded.search({"t2"}, 2).entries == (("c", 1.0), ("b", 0.5))
 
-    def test_refs_survive(self, tmp_path):
-        ix = InvertedIndex()
-        ix.add("a", {"t"}, ref="canonical-a")
-        path = tmp_path / "index.snap"
-        ix.persist(path)
-        assert InvertedIndex.load(path).document_ref("a") == "canonical-a"
-
 
 def _mutate_section(data, sections):
     """Change one section: a raw byte, a cut, or (decoded) a swapped, copied,
@@ -398,7 +388,7 @@ def _mutate_section(data, sections):
             meta[key] = data.draw(st.sampled_from([-1, 0, *near, "1", None, True, 1.5]))
         payload = json.dumps(meta).encode()
     elif how == "value":
-        fmt = {4: "q", 5: "i"}.get(s)
+        fmt = {3: "q", 4: "i"}.get(s)
         try:
             values = (
                 list(struct.unpack(f"<{len(payload) // struct.calcsize(fmt)}{fmt}", payload))
@@ -425,7 +415,7 @@ def _mutate_section(data, sections):
 
 def _persisted_sections(docs, tmp_path):
     path = tmp_path / "index.snap"
-    build_index(docs, ref=_ref).persist(path)
+    build_index(docs).persist(path)
     return path, snapshot_sections(path.read_bytes())
 
 
@@ -446,22 +436,22 @@ class TestSnapshotValidation:
 
     @staticmethod
     def _decreasing_offsets(sections):
-        offsets = list(struct.unpack(f"<{len(sections[4]) // 8}q", sections[4]))
+        offsets = list(struct.unpack(f"<{len(sections[3]) // 8}q", sections[3]))
         offsets[1] = offsets[2] + 1
-        sections[4] = struct.pack(f"<{len(offsets)}q", *offsets)
+        sections[3] = struct.pack(f"<{len(offsets)}q", *offsets)
 
     # The last token, "t3", has the one posting [1]; these keep it rising.
     @staticmethod
     def _posting_past_last_document(sections):
-        sections[5] = sections[5][:-4] + struct.pack("<i", 3)
+        sections[4] = sections[4][:-4] + struct.pack("<i", 3)
 
     @staticmethod
     def _negative_posting(sections):
-        sections[5] = sections[5][:-4] + struct.pack("<i", -1)
+        sections[4] = sections[4][:-4] + struct.pack("<i", -1)
 
     @staticmethod
     def _postings_not_rising(sections):
-        sections[5] = sections[5][4:8] + sections[5][:4] + sections[5][8:]
+        sections[4] = sections[4][4:8] + sections[4][:4] + sections[4][8:]
 
     @pytest.mark.parametrize(
         "fault",
@@ -481,20 +471,15 @@ class TestSnapshotValidation:
         with pytest.raises(SnapshotError):
             InvertedIndex.load(path)
 
-    def test_version_1_rejected_with_hint(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_rejected_with_hint(self, tmp_path, version):
+        # Version 2 had a sixth section of canonical document text.
         path, sections = _persisted_sections(self.DOCS, tmp_path)
-        path.write_bytes(seal_snapshot(sections, version=1))
-        with pytest.raises(SnapshotError, match=r"unsupported snapshot version 1 .*asmsieve index"):
+        path.write_bytes(seal_snapshot(sections, version=version))
+        with pytest.raises(
+            SnapshotError, match=rf"unsupported snapshot version {version} .*asmsieve index"
+        ):
             InvertedIndex.load(path)
-
-    def test_bad_refs_fail_when_read(self, tmp_path):
-        path, sections = _persisted_sections(self.DOCS, tmp_path)
-        sections[2] = b'["only one"]'
-        path.write_bytes(seal_snapshot(sections))
-        loaded = InvertedIndex.load(path)  # refs are decoded on first use
-        assert loaded.search({"t1"}, 1).ids() == ["c"]
-        with pytest.raises(SnapshotError, match="refs"):
-            loaded.document_ref("a")
 
     @given(tie_heavy_corpus(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -513,12 +498,6 @@ class TestSnapshotValidation:
         assert len(loaded) == len(described)
         for k in range(1, len(described) + 3):
             assert list(loaded.search(query, k).entries) == exhaustive_search(described, query, k)
-        ids = json.loads(sections[1])
-        try:
-            refs = [loaded.document_ref(fid) for fid in ids]
-        except SnapshotError:
-            return
-        assert refs == json.loads(sections[2])
 
 
 class TestKernelBackends:

@@ -214,6 +214,22 @@ class TestFeaturesFile:
         save_features(path, features)
         assert load_features(path) == features
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"id":["a"]', "'id' must be a string"),
+            ('"id":3', "'id' must be a string"),
+            ('"id":"a","present":5', "'present' must be a list"),
+            ('"id":"a","present":[["loop"]]', "'present' must be a list"),
+        ],
+    )
+    def test_malformed_record_names_its_line(self, tmp_path, fields, message):
+        path = tmp_path / "features.jsonl"
+        path.write_text('{"id":"ok","features":{"loop":true},"present":["loop"]}\n'
+                        '{' + fields + ',"features":{"loop":true}}\n')
+        with pytest.raises(SchemaError, match=f":2: {message}"):
+            load_features(path)
+
     def test_written_documents_are_canonical(self, tmp_path, variant_x86):
         path = tmp_path / "features.jsonl"
         fs = validate(variant_x86)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asmsieve.errors import SchemaError
 from asmsieve.schema import canonicalize, validate
 from asmsieve.similarity import (
     EmbeddingVector,
@@ -206,6 +207,21 @@ class TestEmbeddingStore:
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id":"a","values":[0,0]}\n')
         with pytest.raises(Exception, match="zero"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"id":"b","values":5}', "'values' must be a list"),
+            ('{"id":"b","values":null}', "'values' must be a list"),
+            ('{"id":["a"],"values":[1,2]}', "'id' must be a string"),
+            ('{"id":"b","values":[1,{}]}', "float"),
+        ],
+    )
+    def test_malformed_record_names_its_line(self, tmp_path, record, message):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id":"a","values":[1,2]}\n' + record + "\n")
+        with pytest.raises(SchemaError, match=f":2: {message}"):
             load_embeddings(path)
 
     def test_vector_wrapper(self):
