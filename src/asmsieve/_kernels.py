@@ -1,84 +1,26 @@
-"""Posting-list accumulation kernels.
+"""Posting-list accumulation, the one hot loop in retrieval.
 
-The one hot loop in retrieval is counting, per candidate document, how many
-of the query's tokens it shares. Postings are kept in a CSR layout (one flat
-int32 array of document numbers plus per-token offsets); the kernel walks the
-matched ranges and bumps a per-document counter.
-
-Two interchangeable implementations exist: a numba ``@njit`` loop and a pure
-numpy gather+bincount. The active one is picked at import time from the
-``ASMSIEVE_BACKEND`` environment variable ("auto" (default), "numba",
-"numpy"); ``use_backend()`` switches at runtime for benchmarks and tests.
+Postings are kept in a CSR layout (one flat int32 array of document numbers
+plus per-token offsets). The matched ranges are gathered into one array and
+``np.bincount`` counts, per document, how many of the query's tokens it holds.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-
-def _accumulate_counts_py(flat, starts, ends, counts):
-    for t in range(starts.shape[0]):
-        for j in range(starts[t], ends[t]):
-            counts[flat[j]] += 1
-
-
-if NUMBA_AVAILABLE:
-    _accumulate_counts_nb = njit(cache=True)(_accumulate_counts_py)
-
-
-def _accumulate_numba(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray, n_docs: int) -> np.ndarray:
-    counts = np.zeros(n_docs, dtype=np.int64)
-    if starts.shape[0]:
-        _accumulate_counts_nb(flat, starts, ends, counts)
-    return counts
-
-
-def _accumulate_numpy(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray, n_docs: int) -> np.ndarray:
-    if starts.shape[0] == 0:
-        return np.zeros(n_docs, dtype=np.int64)
-    pieces = [flat[s:e] for s, e in zip(starts, ends)]
-    gathered = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-    if gathered.shape[0] == 0:
-        return np.zeros(n_docs, dtype=np.int64)
-    return np.bincount(gathered, minlength=n_docs).astype(np.int64, copy=False)
-
-
-_BACKENDS = {"numba": _accumulate_numba, "numpy": _accumulate_numpy} if NUMBA_AVAILABLE else {
-    "numpy": _accumulate_numpy
-}
-
-_active_name = ""
-_active_fn = _accumulate_numpy
-
-
-def use_backend(name: str) -> None:
-    """Select the accumulation backend: "auto", "numba", or "numpy"."""
-    global _active_name, _active_fn
-    if name == "auto":
-        name = "numba" if NUMBA_AVAILABLE else "numpy"
-    if name not in _BACKENDS:
-        available = ", ".join(sorted(_BACKENDS))
-        raise ValueError(f"unknown kernel backend {name!r} (available: {available}, auto)")
-    _active_name = name
-    _active_fn = _BACKENDS[name]
 
 
 def current_backend() -> str:
-    return _active_name
+    """Kept because the benchmark's provenance record names the kernel."""
+    return "numpy"
 
 
 def accumulate_counts(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray, n_docs: int) -> np.ndarray:
-    """Count, for each document number, how many matched ranges contain it."""
-    return _active_fn(flat, starts, ends, n_docs)
+    """Count, per document number, the matched ranges that hold it.
 
-
-use_backend(os.environ.get("ASMSIEVE_BACKEND", "auto"))
+    Kept a module attribute: the benchmark tracer wraps it by this name.
+    """
+    if len(starts) == 0:
+        return np.zeros(n_docs, dtype=np.intp)
+    gathered = np.concatenate([flat[s:e] for s, e in zip(starts, ends)], dtype=np.intp)
+    return np.bincount(gathered, minlength=n_docs)

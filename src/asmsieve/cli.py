@@ -335,7 +335,8 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="asmsieve",
         description="Clone search over binary functions via interpretable feature documents.",
@@ -425,30 +426,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", default="-")
     sp.set_defaults(func=cmd_eval)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-
-    config_path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif arg.startswith("--config="):
-            config_path = arg.split("=", 1)[1]
-    if config_path:
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
         try:
-            defaults = load_config_file(config_path)
+            defaults = load_config_file(args.config)
         except (OSError, ConfigurationError) as exc:
             _fail(str(exc))
             return EXIT_CONFIG
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-
-    args = parser.parse_args(argv)
+        # The subcommand's options are the keys parsing set, less the top-level
+        # ones and the handler that set_defaults stores; other keys are ignored.
+        options = vars(args).keys() - {"config", "command", "func"}
+        commands[args.command].set_defaults(**{k: v for k, v in defaults.items() if k in options})
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -8,8 +8,9 @@ every recorded attempt:
 
 The prompt hash covers ``system_text + "\\x00" + user_text`` (UTF-8). Replay
 looks responses up by (prompt hash, temperature) and never falls back to a
-live client: an unseen key raises FixtureMissError. Reads are lock-free;
-writes are serialized and atomic.
+live client: an unseen key raises FixtureMissError, and a malformed fixture
+file a SchemaError naming it. Reads are lock-free; writes are serialized and
+atomic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import threading
 from pathlib import Path
 
-from .errors import ConfigurationError, FixtureMissError
+from .errors import ConfigurationError, FixtureMissError, SchemaError
 
 
 def prompt_sha256(system_text: str, user_text: str) -> str:
@@ -49,9 +50,19 @@ class FixtureStore:
             raise FixtureMissError(
                 f"no fixture recorded for prompt {prompt_hash[:16]}… at temperature {temperature!r}"
             )
-        data = json.loads(path.read_text(encoding="utf-8"))
-        for attempt in data.get("attempts", []):
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"fixture {path}: invalid JSON: {exc}") from exc
+        attempts = data.get("attempts", []) if isinstance(data, dict) else None
+        if not isinstance(attempts, list) or not all(isinstance(a, dict) for a in attempts):
+            raise SchemaError(f"fixture {path}: expected an object with a list of attempts")
+        for attempt in attempts:
             if attempt.get("temperature") == temperature:
+                if not isinstance(attempt.get("response"), str):
+                    raise SchemaError(
+                        f"fixture {path}: attempt at temperature {temperature!r} has no string response"
+                    )
                 return attempt["response"]
         raise FixtureMissError(
             f"fixture {prompt_hash[:16]}… holds no attempt at temperature {temperature!r}"

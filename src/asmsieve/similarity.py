@@ -181,6 +181,8 @@ class EmbeddingStore:
 
     def add(self, fid: str, values: Iterable[float]) -> None:
         vec = EmbeddingVector(np.asarray(list(values), dtype=np.float64))
+        if not np.all(np.isfinite(vec.values)):
+            raise ValueError(f"embedding for {fid!r} holds a NaN or infinite value")
         if not np.any(vec.values):
             raise ValueError(f"embedding for {fid!r} is all-zero")
         if self._dim is None:

@@ -129,6 +129,20 @@ class TestExtract:
         assert rc == 3
         assert "extraction failed" in capsys.readouterr().err
 
+    def test_malformed_fixture_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        run(["ingest", str(MINI / "listings" / "miniapp_x86-64_O0.lst"),
+             "--library", "miniapp", "--arch", "x86-64", "--opt-level", "O0",
+             "-o", str(corpus)])
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        for src in (MINI / "fixtures").glob("*.json"):
+            (fixtures / src.name).write_text("[]")
+        rc = run(["extract", "--corpus", str(corpus), "--client", "replay",
+                  "--fixtures", str(fixtures), "-o", str(tmp_path / "f.jsonl")])
+        assert rc == 2
+        assert str(fixtures) in capsys.readouterr().err
+
     def test_mini_corpus_replay_identical_across_runs(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         run(["ingest", str(MINI / "listings" / "miniapp_x86-64_O0.lst"),
@@ -339,6 +353,16 @@ class TestConfigFile:
                   "--query", str(features_file), "--id", "lib/sha384_init@ARM/O2",
                   "-k", "2"])
         assert len(json.loads(capsys.readouterr().out)["results"]) == 2
+
+    def test_config_key_naming_no_option_ignored(self, features_file, tmp_path, capsys):
+        snap = tmp_path / "index.snap"
+        run(["index", "--features", str(features_file), "-o", str(snap)])
+        cfg = tmp_path / "asmsieve.conf"
+        cfg.write_text("func = 1\nk = 1\n")
+        rc = run(["--config", str(cfg), "search", "--index", str(snap), "--format", "json",
+                  "--query", str(features_file), "--id", "lib/sha384_init@ARM/O2"])
+        assert rc == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]) == 1
 
     def test_missing_config_exit_4(self, tmp_path):
         assert run(["--config", str(tmp_path / "absent.conf"), "ingest", "x",

@@ -9,6 +9,7 @@ from asmsieve.errors import (
     ConfigurationError,
     ExtractionFailedError,
     FixtureMissError,
+    SchemaError,
 )
 from asmsieve.extraction import RetryPolicy, extract_features
 from asmsieve.fixtures import (
@@ -173,6 +174,22 @@ class TestFixtures:
             fn, replay, policy=RetryPolicy(base_temperature=0.4), bank=bank
         )
         assert fs2 == fs and len(transcript2.attempts) == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[]",
+            '{"attempts": [{"attempt": 0, "temperature": 0.2}]}',
+            '{"attempts": [{"attempt": 0, "temperature": 0.2, "response": 5}]}',
+            '{"attempts": [',
+        ],
+        ids=["not-an-object", "no-response", "non-string-response", "invalid-json"],
+    )
+    def test_malformed_fixture_names_its_file(self, tmp_path, body):
+        path = tmp_path / f"{prompt_sha256('s', 'u')}.json"
+        path.write_text(body)
+        with pytest.raises(SchemaError, match=path.name):
+            ReplayClient(FixtureStore(tmp_path)).complete("s", "u", 0.2)
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

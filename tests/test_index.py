@@ -4,12 +4,13 @@ import struct
 import sys
 import tempfile
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asmsieve import _kernels
@@ -35,14 +36,6 @@ def build_index(docs):
     for fid, tokens in docs.items():
         ix.add(fid, tokens)
     return ix
-
-
-@pytest.fixture(params=sorted(_kernels._BACKENDS))
-def backend(request):
-    previous = _kernels.current_backend()
-    _kernels.use_backend(request.param)
-    yield request.param
-    _kernels.use_backend(previous)
 
 
 class TestAdd:
@@ -113,7 +106,7 @@ class TestSearch:
 
 
 class TestExactness:
-    def test_matches_exhaustive_scan(self, backend):
+    def test_matches_exhaustive_scan(self):
         rng = random.Random(2024)
         vocab = [f"tok{i}" for i in range(60)]
         for _ in range(30):
@@ -129,7 +122,7 @@ class TestExactness:
                     got = list(ix.search(query, k).entries)
                     assert got == expected
 
-    def test_insertion_order_irrelevant(self, backend):
+    def test_insertion_order_irrelevant(self):
         rng = random.Random(7)
         vocab = [f"tok{i}" for i in range(40)]
         docs = {f"doc{i}": random_token_set(rng, vocab, 20) for i in range(25)}
@@ -500,21 +493,26 @@ class TestSnapshotValidation:
             assert list(loaded.search(query, k).entries) == exhaustive_search(described, query, k)
 
 
-class TestKernelBackends:
-    def test_backends_agree(self):
-        rng = random.Random(55)
-        flat = np.array([rng.randrange(50) for _ in range(300)], dtype=np.int32)
-        offsets = np.sort(
-            np.array([0, 300] + [rng.randrange(300) for _ in range(9)], dtype=np.int64)
-        )
-        starts, ends = offsets[:-1], offsets[1:]
-        outputs = {}
-        for name, fn in _kernels._BACKENDS.items():
-            outputs[name] = fn(flat, starts, ends, 50)
-        reference = next(iter(outputs.values()))
-        for got in outputs.values():
-            assert np.array_equal(got, reference)
+@st.composite
+def postings_and_ranges(draw):
+    n_docs = draw(st.integers(1, 30))
+    flat = draw(st.lists(st.integers(0, n_docs - 1), max_size=60))
+    bound = st.integers(0, len(flat))
+    ranges = [sorted(r) for r in draw(st.lists(st.tuples(bound, bound), max_size=8))]
+    return n_docs, flat, ranges
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            _kernels.use_backend("cuda")
+
+class TestAccumulateCounts:
+    @given(postings_and_ranges())
+    @example((5, [1, 2, 3], []))  # no ranges
+    @example((5, [1, 2, 3], [[1, 1], [3, 3]]))  # only empty ranges
+    @example((5, [1, 2, 2, 4], [[0, 3], [1, 4]]))  # doc 2 repeated within and across ranges
+    @settings(max_examples=200, deadline=None)
+    def test_matches_counter(self, case):
+        n_docs, flat, ranges = case
+        starts = np.array([s for s, _ in ranges], dtype=np.int64)
+        ends = np.array([e for _, e in ranges], dtype=np.int64)
+        got = _kernels.accumulate_counts(np.array(flat, dtype=np.int32), starts, ends, n_docs)
+        expected = Counter(d for s, e in ranges for d in flat[s:e])
+        assert got.shape == (n_docs,) and np.issubdtype(got.dtype, np.integer)
+        assert got.tolist() == [expected[d] for d in range(n_docs)]

@@ -216,6 +216,8 @@ class TestEmbeddingStore:
             ('{"id":"b","values":null}', "'values' must be a list"),
             ('{"id":["a"],"values":[1,2]}', "'id' must be a string"),
             ('{"id":"b","values":[1,{}]}', "float"),
+            ('{"id":"b","values":[NaN,1]}', "embedding for 'b' holds a NaN"),
+            ('{"id":"b","values":[1,Infinity]}', "embedding for 'b' holds a NaN"),
         ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, record, message):
