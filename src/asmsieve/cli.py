@@ -35,7 +35,8 @@ from .extraction import RetryPolicy, extract_features
 from .fixtures import FixtureStore, RecordingClient, ReplayClient
 from .index import InvertedIndex
 from .prompts import SECTIONS, PromptConfig, load_example_bank
-from .similarity import FlattenConfig, flatten, load_embeddings
+# flatten is no longer called here; kept because the benchmark tracer wraps cli.flatten by name
+from .similarity import FlattenConfig, flatten, load_embeddings, read_token_sets  # noqa: F401
 from .static_analysis import STATIC_FIELDS
 
 EXIT_OK = 0
@@ -95,14 +96,6 @@ def _open_out(path: str):
     if path == "-":
         return sys.stdout
     return open(path, "w", encoding="utf-8")
-
-
-def _load_feature_maps(paths) -> dict:
-    features: dict = {}
-    for path in paths:
-        for fid, fs in schema_mod.load_features(path).items():
-            features[fid] = fs
-    return features
 
 
 # ---------------------------------------------------------------- ingest
@@ -210,11 +203,9 @@ def cmd_extract(args) -> int:
 # ---------------------------------------------------------------- index
 
 def cmd_index(args) -> int:
-    features = _load_feature_maps(args.features)
-    fcfg = _flatten_config(args)
     ix = InvertedIndex()
-    for fid, fs in features.items():
-        ix.add(fid, flatten(fs, fcfg, source=fid))
+    for fid, tokens in read_token_sets(args.features, _flatten_config(args)):
+        ix.add(fid, tokens)
     ix.persist(args.output)
     print(f"indexed {len(ix)} document(s) -> {args.output}", file=sys.stderr)
     return EXIT_OK
@@ -241,9 +232,7 @@ def _select_queries(features: dict, only_id: str | None) -> dict:
 
 def cmd_search(args) -> int:
     ix = InvertedIndex.load(args.index)
-    features = _select_queries(_load_feature_maps(args.query), args.id)
-    fcfg = _flatten_config(args)
-    queries = {fid: flatten(fs, fcfg, source=fid) for fid, fs in features.items()}
+    queries = _select_queries(dict(read_token_sets(args.query, _flatten_config(args))), args.id)
     out = _open_out(args.output)
     try:
         if args.parallel > 1:
@@ -267,7 +256,7 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------- diff
 
 def cmd_diff(args) -> int:
-    features = _load_feature_maps(args.features)
+    features = schema_mod.load_features(*args.features)
     for fid in (args.left, args.right):
         if fid not in features:
             raise MissingFeatureError(f"no features for id {fid!r}")
@@ -294,16 +283,13 @@ def cmd_diff(args) -> int:
 def cmd_rerank(args) -> int:
     ix = InvertedIndex.load(args.index)
     embeddings = load_embeddings(args.embeddings)
-    features = _select_queries(_load_feature_maps(args.query), args.id)
-    fcfg = _flatten_config(args)
+    queries = _select_queries(dict(read_token_sets(args.query, _flatten_config(args))), args.id)
     out = _open_out(args.output)
     try:
-        for fid, fs in features.items():
+        for fid, tokens in queries.items():
             if fid not in embeddings:
                 raise MissingEmbeddingError(f"no embedding for query id {fid!r}")
-            result = ix.prefilter_rerank(
-                flatten(fs, fcfg, source=fid), embeddings[fid], args.k1, args.k2, embeddings
-            )
+            result = ix.prefilter_rerank(tokens, embeddings[fid], args.k1, args.k2, embeddings)
             _print_ranked(fid, result, args.format, out)
     finally:
         if out is not sys.stdout:
@@ -316,9 +302,7 @@ def cmd_rerank(args) -> int:
 def cmd_eval(args) -> int:
     pairs = corpus_mod.load_pairs(args.pool)
     pool = EvalPool(pairs=tuple(pairs), scorer=args.scorer)
-    feature_sets = _load_feature_maps(args.features)
-    fcfg = _flatten_config(args)
-    features = {fid: flatten(fs, fcfg, source=fid) for fid, fs in feature_sets.items()}
+    features = dict(read_token_sets(args.features, _flatten_config(args)))
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     report = evaluate_pool(pool, features, embeddings=embeddings)
     out = _open_out(args.output)

@@ -8,9 +8,10 @@ every recorded attempt:
 
 The prompt hash covers ``system_text + "\\x00" + user_text`` (UTF-8). Replay
 looks responses up by (prompt hash, temperature) and never falls back to a
-live client: an unseen key raises FixtureMissError, and a malformed fixture
-file a SchemaError naming it. Reads are lock-free; writes are serialized and
-atomic.
+live client: an unseen key raises FixtureMissError. Reading and recording
+both check a fixture file's layout first, and a malformed file raises a
+SchemaError naming it (recording leaves it unchanged). Reads are lock-free;
+writes are serialized and atomic.
 """
 
 from __future__ import annotations
@@ -32,6 +33,23 @@ def prompt_sha256(system_text: str, user_text: str) -> str:
     return digest.hexdigest()
 
 
+def _read_fixture(path: Path) -> dict:
+    """A fixture file's object, once its layout is checked: an object whose
+    ``"attempts"`` list holds objects with an integer ``"attempt"``."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"fixture {path}: invalid JSON: {exc}") from exc
+    attempts = data.get("attempts") if isinstance(data, dict) else None
+    if not isinstance(attempts, list) or not all(
+        isinstance(a, dict) and type(a.get("attempt")) is int for a in attempts
+    ):
+        raise SchemaError(
+            f"fixture {path}: expected an object with a list of attempts, each with an integer 'attempt'"
+        )
+    return data
+
+
 class FixtureStore:
     def __init__(self, root: str | Path, create: bool = False):
         self.root = Path(root)
@@ -50,14 +68,7 @@ class FixtureStore:
             raise FixtureMissError(
                 f"no fixture recorded for prompt {prompt_hash[:16]}… at temperature {temperature!r}"
             )
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"fixture {path}: invalid JSON: {exc}") from exc
-        attempts = data.get("attempts", []) if isinstance(data, dict) else None
-        if not isinstance(attempts, list) or not all(isinstance(a, dict) for a in attempts):
-            raise SchemaError(f"fixture {path}: expected an object with a list of attempts")
-        for attempt in attempts:
+        for attempt in _read_fixture(path)["attempts"]:
             if attempt.get("temperature") == temperature:
                 if not isinstance(attempt.get("response"), str):
                     raise SchemaError(
@@ -72,7 +83,7 @@ class FixtureStore:
         with self._write_lock:
             path = self._path(prompt_hash)
             if path.is_file():
-                data = json.loads(path.read_text(encoding="utf-8"))
+                data = _read_fixture(path)
             else:
                 data = {"prompt_hash": prompt_hash, "attempts": []}
             attempts = [

@@ -7,6 +7,15 @@ side effects, categorization). Unknown keys are preserved verbatim in an
 extensions map so new features can be added without invalidating stored
 documents.
 
+Each core field's rule lives in one validator, built once from ``FIELDS``
+by ``field_validators`` (a table by field name); ``validate`` dispatches
+through it, and so does the token reader in ``similarity``, which builds
+the same table with memoized entry normalizers. ``check_complete`` holds
+the document-level rules (required fields, parameter count). Features files
+are read through one record reader, ``read_records``: it parses each JSON
+line, checks its ``id`` and ``present`` list, rejects an id repeated across
+the files, and prefixes every error with ``path:line: ``.
+
 Canonical form rules:
   * fields serialized in the fixed order of ``FIELD_ORDER``;
   * ``int_consts`` and ``float_consts`` sorted lexicographically;
@@ -22,7 +31,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import SchemaError
 
@@ -70,6 +80,9 @@ class FieldSpec:
     kind: str  # count | bool | enum | param_types | cat_array | hex_array | dec_array
     values: tuple[str, ...] = ()
     hint: str = ""  # one-line request text used by the prompt builder
+
+
+ARRAY_KINDS = frozenset({"param_types", "cat_array", "hex_array", "dec_array"})
 
 
 FIELDS: tuple[FieldSpec, ...] = (
@@ -215,59 +228,121 @@ def _require_enum(name: str, value: Any, aliases: Mapping[str, str]) -> str:
     return canonical
 
 
-def _validate_field(name: str, value: Any) -> Any:
-    spec = FIELD_BY_NAME[name]
-    if spec.kind == "bool":
-        return _require_bool(name, value)
-    if spec.kind == "count":
-        return _require_count(name, value)
-    if spec.kind == "enum":
-        aliases = RET_TYPE_ALIASES if name == "ret_type" else ALGO_ALIASES
-        return _require_enum(name, value, aliases)
+def _require_array(name: str, value: Any) -> None:
     if not isinstance(value, (list, tuple)):
         raise SchemaError(f"field {name!r} must be an array, got {value!r}")
-    if spec.kind == "param_types":
-        return tuple(_require_enum(name, v, PARAM_TYPE_ALIASES) for v in value)
-    if spec.kind == "cat_array":
-        cats = [_require_enum(name, v, CATEGORY_ALIASES) for v in value]
-        if not cats:
-            raise SchemaError(f"field {name!r} must not be empty")
-        if len(set(cats)) != len(cats):
-            raise SchemaError(f"field {name!r} contains duplicates: {value!r}")
-        order = {c: i for i, c in enumerate(OPERATION_CATEGORIES)}
-        return tuple(sorted(cats, key=order.__getitem__))
-    if spec.kind == "hex_array":
-        seen: dict[str, int] = {}
-        for v in value:
-            text = normalize_hex_constant(v)
-            n = int(text, 16)
-            if is_trivial_constant(n):
-                raise SchemaError(f"field {name!r} contains trivial constant {text}")
-            seen.setdefault(text, n)
-        if len(seen) > MAX_INT_CONSTS:
-            raise SchemaError(
-                f"field {name!r} holds {len(seen)} constants, limit is {MAX_INT_CONSTS}"
-            )
-        return tuple(sorted(seen))
-    if spec.kind == "dec_array":
-        out: list[str] = []
-        for v in value:
-            if isinstance(v, bool):
-                raise SchemaError(f"field {name!r} entries must be numbers or strings")
-            if isinstance(v, (int, float)):
-                text = json.dumps(v)
-            elif isinstance(v, str):
-                text = v.strip()
-                try:
-                    float(text)
-                except ValueError:
-                    raise SchemaError(f"field {name!r} entry is not numeric: {v!r}") from None
-            else:
-                raise SchemaError(f"field {name!r} entries must be numbers or strings")
-            if text not in out:
-                out.append(text)
-        return tuple(sorted(out))
-    raise AssertionError(f"unhandled field kind {spec.kind}")
+
+
+def _param_types(name: str, value: Any) -> tuple[str, ...]:
+    _require_array(name, value)
+    return tuple(_require_enum(name, v, PARAM_TYPE_ALIASES) for v in value)
+
+
+_CATEGORY_RANK = {c: i for i, c in enumerate(OPERATION_CATEGORIES)}
+
+
+def _categories(name: str, value: Any) -> tuple[str, ...]:
+    _require_array(name, value)
+    cats = [_require_enum(name, v, CATEGORY_ALIASES) for v in value]
+    if not cats:
+        raise SchemaError(f"field {name!r} must not be empty")
+    if len(set(cats)) != len(cats):
+        raise SchemaError(f"field {name!r} contains duplicates: {value!r}")
+    return tuple(sorted(cats, key=_CATEGORY_RANK.__getitem__))
+
+
+def _hex_entry(name: str, value: Any) -> str:
+    text = normalize_hex_constant(value)
+    if is_trivial_constant(int(text, 16)):
+        raise SchemaError(f"field {name!r} contains trivial constant {text}")
+    return text
+
+
+def _hex_array(name: str, entry: Callable[[Any], str], value: Any) -> tuple[str, ...]:
+    _require_array(name, value)
+    texts = set(map(entry, value))
+    if len(texts) > MAX_INT_CONSTS:
+        raise SchemaError(
+            f"field {name!r} holds {len(texts)} constants, limit is {MAX_INT_CONSTS}"
+        )
+    return tuple(sorted(texts))
+
+
+def _dec_entry(name: str, value: Any) -> str:
+    if isinstance(value, bool):
+        raise SchemaError(f"field {name!r} entries must be numbers or strings")
+    if isinstance(value, (int, float)):
+        return json.dumps(value)
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            float(text)
+        except ValueError:
+            raise SchemaError(f"field {name!r} entry is not numeric: {value!r}") from None
+        return text
+    raise SchemaError(f"field {name!r} entries must be numbers or strings")
+
+
+def _dec_array(name: str, entry: Callable[[Any], str], value: Any) -> tuple[str, ...]:
+    _require_array(name, value)
+    return tuple(sorted(set(map(entry, value))))
+
+
+def _field_validator(spec: FieldSpec, wrap_entry: Callable) -> Callable[[Any], Any]:
+    name, kind = spec.name, spec.kind
+    if kind == "bool":
+        return partial(_require_bool, name)
+    if kind == "count":
+        return partial(_require_count, name)
+    if kind == "enum":
+        aliases = RET_TYPE_ALIASES if name == "ret_type" else ALGO_ALIASES
+        return partial(_require_enum, name, aliases=aliases)
+    if kind == "param_types":
+        return partial(_param_types, name)
+    if kind == "cat_array":
+        return partial(_categories, name)
+    if kind == "hex_array":
+        return partial(_hex_array, name, wrap_entry(partial(_hex_entry, name)))
+    if kind == "dec_array":
+        return partial(_dec_array, name, wrap_entry(partial(_dec_entry, name)))
+    raise AssertionError(f"unhandled field kind {kind}")
+
+
+def field_validators(wrap_entry: Callable = lambda entry: entry) -> dict[str, Callable[[Any], Any]]:
+    """One validator per core field, by name: each takes the raw JSON value
+    and returns the normalized one or raises SchemaError. ``wrap_entry``
+    wraps the per-entry normalizers of ``int_consts`` and ``float_consts``
+    (the token reader passes a memo)."""
+    return {spec.name: _field_validator(spec, wrap_entry) for spec in FIELDS}
+
+
+_VALIDATORS = field_validators()
+_ALL_FIELDS = frozenset(FIELD_ORDER)
+
+
+def required_set(required_fields: Iterable[str] | None) -> frozenset[str]:
+    """The core fields a document must hold: all of them for ``None``."""
+    if required_fields is None:
+        return _ALL_FIELDS
+    required = frozenset(required_fields)
+    unknown = required - _ALL_FIELDS
+    if unknown:
+        raise SchemaError(f"unknown required field(s): {sorted(unknown)}")
+    return required
+
+
+def check_complete(fields: Mapping[str, Any], required: frozenset[str]) -> None:
+    """The document-level rules, once every field has passed its validator:
+    no required field missing, and one parameter type per parameter.
+    ``fields`` may hold the raw values: neither rule looks past a count and
+    an array length, which validation does not change."""
+    missing = sorted(required.difference(fields))
+    if missing:
+        raise SchemaError(f"missing required field(s): {', '.join(missing)}")
+    if "in_param_cnt" in fields and "in_param_types" in fields:
+        cnt, n_types = fields["in_param_cnt"], len(fields["in_param_types"])
+        if n_types != cnt:
+            raise SchemaError(f"in_param_types has {n_types} entries but in_param_cnt is {cnt}")
 
 
 @dataclass(frozen=True)
@@ -314,32 +389,16 @@ def validate(doc: Mapping[str, Any], required_fields: Iterable[str] | None = Non
     """
     if not isinstance(doc, Mapping):
         raise SchemaError(f"feature document must be a JSON object, got {type(doc).__name__}")
-    if required_fields is None:
-        required = set(FIELD_ORDER)
-    else:
-        required = set(required_fields)
-        unknown = required - set(FIELD_ORDER)
-        if unknown:
-            raise SchemaError(f"unknown required field(s): {sorted(unknown)}")
-
+    required = required_set(required_fields)
     fields: dict[str, Any] = {}
     extensions: dict[str, Any] = {}
     for key, value in doc.items():
-        if key in FIELD_BY_NAME:
-            fields[key] = _validate_field(key, value)
-        else:
+        check = _VALIDATORS.get(key)
+        if check is None:
             extensions[key] = value
-
-    missing = sorted(required - fields.keys())
-    if missing:
-        raise SchemaError(f"missing required field(s): {', '.join(missing)}")
-
-    if "in_param_cnt" in fields and "in_param_types" in fields:
-        cnt, types = fields["in_param_cnt"], fields["in_param_types"]
-        if len(types) != cnt:
-            raise SchemaError(
-                f"in_param_types has {len(types)} entries but in_param_cnt is {cnt}"
-            )
+        else:
+            fields[key] = check(value)
+    check_complete(fields, required)
     return FeatureSet(fields=fields, extensions=extensions)
 
 
@@ -395,9 +454,6 @@ class FieldDiff:
         return out
 
 
-_ARRAY_KINDS = {"param_types", "cat_array", "hex_array", "dec_array"}
-
-
 def diff(a: FeatureSet, b: FeatureSet) -> list[FieldDiff]:
     """Field-level differences in fixed order; empty iff canonical texts match."""
     out: list[FieldDiff] = []
@@ -417,7 +473,7 @@ def diff(a: FeatureSet, b: FeatureSet) -> list[FieldDiff]:
         removed: tuple = ()
         if (
             name in FIELD_BY_NAME
-            and FIELD_BY_NAME[name].kind in _ARRAY_KINDS
+            and FIELD_BY_NAME[name].kind in ARRAY_KINDS
             and in_a
             and in_b
         ):
@@ -438,29 +494,63 @@ def diff(a: FeatureSet, b: FeatureSet) -> list[FieldDiff]:
     return out
 
 
-def load_features(path) -> dict[str, FeatureSet]:
-    """Read a features file (JSON lines of ``{"id": ..., "features": {...}}``)."""
-    out: dict[str, FeatureSet] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "features" not in obj:
-                raise SchemaError(f"{path}:{line_no}: expected keys 'id' and 'features'")
-            fid, present = obj["id"], obj.get("present")
-            if not isinstance(fid, str):
-                raise SchemaError(f"{path}:{line_no}: 'id' must be a string")
-            if present is not None and not (
-                isinstance(present, list) and all(isinstance(name, str) for name in present)
-            ):
-                raise SchemaError(f"{path}:{line_no}: 'present' must be a list of field names")
-            out[fid] = validate(obj["features"], required_fields=present or None)
-    return out
+def _record_lines(paths) -> Iterator[tuple[Any, int, str]]:
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    yield path, line_no, line
+
+
+def _parse_record(line: str) -> tuple[str, list[str] | None, Any]:
+    """The id, the ``present`` list (None when absent) and the raw features of one line."""
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or "id" not in obj or "features" not in obj:
+        raise SchemaError("expected keys 'id' and 'features'")
+    fid, present = obj["id"], obj.get("present")
+    if not isinstance(fid, str):
+        raise SchemaError("'id' must be a string")
+    if present is not None and not (
+        isinstance(present, list) and all(isinstance(name, str) for name in present)
+    ):
+        raise SchemaError("'present' must be a list of field names")
+    return fid, present, obj["features"]
+
+
+def _first_location(paths, fid: str) -> str:
+    for path, line_no, line in _record_lines(paths):
+        if _parse_record(line)[0] == fid:
+            return f"{path}:{line_no}"
+    return "an earlier line"  # the files changed while being read
+
+
+def read_records(paths, convert: Callable[[Any, list[str] | None], Any]) -> Iterator[tuple[str, Any]]:
+    """Yield ``(id, convert(features, present))`` for each record of the
+    features files, in file and line order. A ``present`` list names the
+    core fields the record must hold; only a missing (or null) ``present``
+    means all of them. Ids must be unique across the files. Every error, the ones
+    ``convert`` raises included, is a SchemaError prefixed ``path:line: ``."""
+    seen: set[str] = set()
+    for path, line_no, line in _record_lines(paths):
+        try:
+            fid, present, doc = _parse_record(line)
+            if fid in seen:
+                raise SchemaError(f"duplicate id {fid!r} (first at {_first_location(paths, fid)})")
+            seen.add(fid)
+            value = convert(doc, present)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{line_no}: {exc}") from exc
+        yield fid, value
+
+
+def load_features(*paths) -> dict[str, FeatureSet]:
+    """Read features files (JSON lines of ``{"id": ..., "features": {...}}``,
+    with an optional ``"present"`` list) into validated documents by id."""
+    return dict(read_records(paths, validate))
 
 
 def save_features(path, features: Mapping[str, FeatureSet]) -> None:

@@ -12,22 +12,40 @@ Flattening turns a feature document into a set of text tokens:
 Two valid full documents flatten to equal token sets exactly when their
 canonical texts are equal. Optional log-bucketing coarsens the four count
 fields for robustness experiments; it is off by default.
+
+Each core field's token rule lives in one emitter, built once from
+``schema.FIELDS`` for each ``FlattenConfig`` (a table by field name).
+``flatten`` applies it to a validated ``FeatureSet``; ``read_token_sets``
+goes from a features-file line to its token set in one pass, calling each
+field's validator and then its emitter, with no ``FeatureSet`` in between.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import SchemaError
-from .schema import FIELD_BY_NAME, FIELD_ORDER, FeatureSet, _sorted_json
+from .schema import (
+    ARRAY_KINDS,
+    FIELDS,
+    FeatureSet,
+    FieldSpec,
+    _sorted_json,
+    check_complete,
+    field_validators,
+    read_records,
+    required_set,
+)
 
 BUCKETED_FIELDS = ("in_param_cnt", "imm_values_cnt", "subcall_targets", "interrupts_syscalls")
 
 _POSITIONAL_ARRAYS = {"in_param_types"}
+# memoized entry by entry (see read_token_sets), not as whole arrays
+_PER_ENTRY_MEMO = {"int_consts", "float_consts"}
 
 
 @dataclass(frozen=True)
@@ -68,50 +86,106 @@ def count_bucket(n: int) -> str:
     return f"{low + 1}-{low * 2}"
 
 
-def _scalar_token(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    return str(value)
-
-
 def _extension_value(value: Any) -> str:
     return json.dumps(_sorted_json(value), separators=(",", ":"))
+
+
+def _extension_tokens(key: str, value: Any, atomic_arrays: bool) -> Iterable[str]:
+    if isinstance(value, list) and not atomic_arrays:
+        return [f"{key}~{i}:{_extension_value(v)}" for i, v in enumerate(value)]
+    return (f"{key}={_extension_value(value)}",)
+
+
+def _field_emitter(spec: FieldSpec, cfg: FlattenConfig) -> Callable[[Any], tuple[str, ...]]:
+    name = spec.name
+    if spec.kind in ARRAY_KINDS:
+        if cfg.atomic_arrays:
+            return lambda v: (f"{name}={json.dumps(list(v), separators=(',', ':'))}",)
+        if name in _POSITIONAL_ARRAYS:
+            return lambda v: tuple(f"{name}~{i}:{x}" for i, x in enumerate(v))
+        return lambda v: tuple(f"{name}~{x}" for x in v)
+    if cfg.bucket_counts and name in BUCKETED_FIELDS:
+        return lambda v: (f"{name}=bucket:{count_bucket(v)}",)
+    if spec.kind == "bool":
+        return lambda v: (f"{name}={'true' if v else 'false'}",)
+    return lambda v: (f"{name}={v}",)
+
+
+# (bucket_counts, atomic_arrays) -> the token emitter of each core field, by
+# name: it takes the validated value and returns the field's tokens.
+_EMITTERS: dict[tuple[bool, bool], dict[str, Callable[[Any], tuple[str, ...]]]] = {
+    (b, a): {spec.name: _field_emitter(spec, FlattenConfig(b, a)) for spec in FIELDS}
+    for b in (False, True)
+    for a in (False, True)
+}
+
+
+def _emitters(cfg: FlattenConfig) -> dict[str, Callable[[Any], tuple[str, ...]]]:
+    return _EMITTERS[bool(cfg.bucket_counts), bool(cfg.atomic_arrays)]
 
 
 def flatten(fs: FeatureSet, config: FlattenConfig | None = None, source: str = "") -> TokenSet:
     """Flatten a feature document into its field-value token set."""
     cfg = config or FlattenConfig()
+    emit = _emitters(cfg)
     tokens: set[str] = set()
-    for name in FIELD_ORDER:
-        if name not in fs.fields:
-            continue
-        value = fs.fields[name]
-        spec = FIELD_BY_NAME[name]
-        if isinstance(value, tuple):
-            if cfg.atomic_arrays:
-                tokens.add(f"{name}={json.dumps(list(value), separators=(',', ':'))}")
-            elif name in _POSITIONAL_ARRAYS:
-                tokens.update(f"{name}~{i}:{v}" for i, v in enumerate(value))
-            else:
-                tokens.update(f"{name}~{v}" for v in value)
-        elif cfg.bucket_counts and name in BUCKETED_FIELDS:
-            tokens.add(f"{name}=bucket:{count_bucket(value)}")
-        elif spec.kind == "count":
-            tokens.add(f"{name}={value}")
-        else:
-            tokens.add(f"{name}={_scalar_token(value)}")
-    for key in sorted(fs.extensions):
-        value = fs.extensions[key]
-        if isinstance(value, list):
-            if cfg.atomic_arrays:
-                tokens.add(f"{key}={_extension_value(value)}")
-            else:
-                tokens.update(f"{key}~{i}:{_extension_value(v)}" for i, v in enumerate(value))
-        else:
-            tokens.add(f"{key}={_extension_value(value)}")
+    for name, value in fs.fields.items():
+        tokens.update(emit[name](value))
+    for key, value in fs.extensions.items():
+        tokens.update(_extension_tokens(key, value, cfg.atomic_arrays))
     return TokenSet(tokens=frozenset(tokens), source=source)
+
+
+def _memoized(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``fn`` with its results kept, keyed on ``(type(v), v)`` so that
+    ``True``, ``1`` and ``1.0`` stay apart (a float by its repr, since
+    ``0.0 == -0.0``) and a list on its tuple. Only results are kept, never
+    errors: a list is only ever valid as a list of strings, whose tuple no
+    other JSON value equals. An unhashable value bypasses the cache."""
+    cache: dict = {}
+
+    def call(value: Any) -> Any:
+        kind = type(value)
+        key = tuple(value) if kind is list else (kind, repr(value) if kind is float else value)
+        try:
+            out = cache.get(key)
+        except TypeError:
+            return fn(value)
+        if out is None:
+            out = cache[key] = fn(value)
+        return out
+
+    return call
+
+
+def read_token_sets(paths, config: FlattenConfig | None = None) -> Iterator[tuple[str, frozenset[str]]]:
+    """Yield ``(id, tokens)`` for each record of the features files, with
+    ``tokens == flatten(validate(features, present), config).tokens``: each
+    field is validated and turned into tokens in one pass over the document,
+    through ``schema.field_validators`` and this module's emitters, with no
+    FeatureSet in between. Field results are memoized for the duration of
+    the call: by value for the scalar fields, ``in_param_types`` and
+    ``dominant_operation_categories``, by entry for ``int_consts`` and
+    ``float_consts``. Errors are those of ``schema.read_records``."""
+    cfg = config or FlattenConfig()
+    emit = _emitters(cfg)
+    steps: dict[str, Callable[[Any], tuple[str, ...]]] = {}
+    for name, check in field_validators(_memoized).items():
+        step = lambda v, check=check, emit=emit[name]: emit(check(v))  # noqa: E731
+        steps[name] = step if name in _PER_ENTRY_MEMO else _memoized(step)
+
+    def tokens(doc: Any, present: list[str] | None) -> frozenset[str]:
+        if not isinstance(doc, Mapping):
+            raise SchemaError(f"feature document must be a JSON object, got {type(doc).__name__}")
+        required = required_set(present)
+        out: list[str] = []
+        for name, value in doc.items():
+            step = steps.get(name)
+            out.extend(step(value) if step else _extension_tokens(name, value, cfg.atomic_arrays))
+        check_complete(doc, required)
+        return frozenset(out)
+
+    return read_records(paths, tokens)
 
 
 def _as_token_frozenset(x: TokenSet | Iterable[str]) -> frozenset[str]:

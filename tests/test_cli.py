@@ -219,6 +219,15 @@ class TestIndexSearch:
         assert run(["index", "--features", str(features), "-o", str(tmp_path / "ix")]) == 2
         assert ":1: 'present' must be a list" in capsys.readouterr().err
 
+    def test_duplicate_id_across_files_exit_2(self, features_file, tmp_path, capsys):
+        again = tmp_path / "again.jsonl"
+        again.write_text(features_file.read_text().splitlines()[1] + "\n")
+        assert run(["index", "--features", str(features_file), "--features", str(again),
+                    "-o", str(tmp_path / "ix")]) == 2
+        err = capsys.readouterr().err
+        assert f"{again}:1: duplicate id 'lib/sha384_init@x86-64/O2' (first at {features_file}:2)" in err
+        assert not (tmp_path / "ix").exists()
+
     def test_parallel_search_matches_serial(self, features_file, tmp_path):
         snap = tmp_path / "index.snap"
         run(["index", "--features", str(features_file), "-o", str(snap)])

@@ -191,6 +191,22 @@ class TestFixtures:
         with pytest.raises(SchemaError, match=path.name):
             ReplayClient(FixtureStore(tmp_path)).complete("s", "u", 0.2)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[]",
+            '{"prompt_hash": "h"}',
+            '{"attempts": [{"temperature": 0.4, "response": "r"}]}',
+        ],
+        ids=["not-an-object", "no-attempts", "attempt-without-number"],
+    )
+    def test_put_over_malformed_fixture_names_its_file(self, tmp_path, body):
+        path = tmp_path / f"{prompt_sha256('s', 'u')}.json"
+        path.write_text(body)
+        with pytest.raises(SchemaError, match=path.name):
+            FixtureStore(tmp_path).put(prompt_sha256("s", "u"), 0.2, 0, "r")
+        assert path.read_text() == body
+
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             FixtureStore(tmp_path / "absent")

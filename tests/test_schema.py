@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,9 @@ class TestFeaturesFile:
                 {"loop": True, "imm_values_cnt": 2},
                 required_fields=["loop", "imm_values_cnt"],
             ),
+            # only extension keys: written with "present": [], which must not
+            # read back as "every core field is required"
+            "lib/ext-only@ARM/O0": validate({"note": "x"}, required_fields=[]),
         }
         path = tmp_path / "features.jsonl"
         save_features(path, features)
@@ -221,13 +225,24 @@ class TestFeaturesFile:
             ('"id":3', "'id' must be a string"),
             ('"id":"a","present":5', "'present' must be a list"),
             ('"id":"a","present":[["loop"]]', "'present' must be a list"),
+            ('"id":"a","present":["loop"],"features":{"loop":5}',
+             "field 'loop' must be a boolean, got 5"),
+            ('"id":"a","present":["loop","simd"]', r"missing required field\(s\): simd"),
+            ('"id":"ok","present":["loop"]', r"duplicate id 'ok' \(first at .*features.jsonl:1\)"),
         ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, fields, message):
         path = tmp_path / "features.jsonl"
+        features = "" if '"features"' in fields else ',"features":{"loop":true}'
         path.write_text('{"id":"ok","features":{"loop":true},"present":["loop"]}\n'
-                        '{' + fields + ',"features":{"loop":true}}\n')
-        with pytest.raises(SchemaError, match=f":2: {message}"):
+                        '{' + fields + features + '}\n')
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:2: {message}"):
+            load_features(path)
+
+    def test_oversized_integer_names_its_line(self, tmp_path):
+        path = tmp_path / "features.jsonl"
+        path.write_text('{"id":"a","features":{"float_consts":[' + "1" * 5000 + "]}}\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:1: invalid JSON: Exceeds"):
             load_features(path)
 
     def test_written_documents_are_canonical(self, tmp_path, variant_x86):

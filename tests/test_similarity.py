@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asmsieve.errors import SchemaError
-from asmsieve.schema import canonicalize, validate
+from asmsieve.schema import FIELD_BY_NAME, FIELD_ORDER, canonicalize, validate
 from asmsieve.similarity import (
     EmbeddingVector,
     FlattenConfig,
@@ -20,6 +20,7 @@ from asmsieve.similarity import (
     hybrid,
     jaccard,
     load_embeddings,
+    read_token_sets,
     save_embeddings,
 )
 from helpers import random_feature_set
@@ -231,3 +232,181 @@ class TestEmbeddingStore:
         assert vec.dim == 3
         with pytest.raises(ValueError):
             EmbeddingVector([[1, 2], [3, 4]])
+
+
+# ------------------------------------------------------------ read_token_sets
+
+FLATTEN_CONFIGS = [FlattenConfig(b, a) for b in (False, True) for a in (False, True)]
+
+_BOOL_SPELLINGS = (True, False, "True", "false", "TRUE", " False ")
+_PARAM_SPELLINGS = ("Integer", "int", "INT", "Pointer", "ptr", "Ptr", "POINTER")
+_RET_SPELLINGS = ("Integer", "int", "Pointer", "ptr", "Float", "None", "void", "null", None)
+_CATEGORY_SPELLINGS = (
+    "Arithmetic", "bitwise", "Data Movement", "conditional-branching", "SUBROUTINECALL",
+    "memory_access",
+)
+_ALGO_SPELLINGS = ("Initialization", "hashing", "wrapper", "control flow", "dispatch",
+                   "utility/helper", "system/OS interaction", "Undetermined")
+_HEX_VALUES = (2, 16, 0x1F, 0x2F41, 0xDEADBEEF, 1 << 40)
+_FLOAT_SPELLINGS = (1, 1.0, 0.5, -0.125, 0.0, -0.0, 2, 1e300, "1.5", " 0.5 ", "1e3",
+                    "-0.0", "1", "1.0", "inf")
+_EXTENSION_KEYS = ("note", "tags", "origin", "meta", "x~y")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.sampled_from(["a", "b", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["b", "a", "c"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+# Values that fail each kind of field, for the invalid-document cases.
+_BAD_VALUES = {
+    "count": (True, False, -1, 1.5, "3", None, [1], {"a": 1}),
+    "bool": (1, 0, 1.0, "yes", None, [], {}),
+    "enum": (3, "nope", [], {}, True),
+    "param_types": ("Pointer", 5, [True], ["pointr"], [["Pointer"]], [{}], {}),
+    "cat_array": ([], ["Arithmetic", "arithmetic"], ["Nope"], "Arithmetic", [1], [["Bitwise"]]),
+    "hex_array": ([0], [1], ["0xff"], [True], [-5], ["zz"], [1.5], [[16]], "0x10",
+                  [f"0x{v:x}" for v in range(2, 18)]),
+    "dec_array": ([True], ["abc"], [None], [[1.0]], "1.0", [{}]),
+}
+
+
+@st.composite
+def _hex_spelling(draw):
+    n = draw(st.sampled_from(_HEX_VALUES))
+    forms = (n, f"0x{n:x}", f"0X{n:X}", f"{n:x}", f"{n:X}", f"0x{n:08x}", f" 0x{n:x} ")
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def raw_documents(draw):
+    """(features, present) of a valid document in raw input spellings, keys
+    in any order, possibly partial, possibly with nested extensions."""
+    cnt = draw(st.integers(0, 4))
+    doc = {
+        "in_param_cnt": cnt,
+        "in_param_types": draw(st.lists(st.sampled_from(_PARAM_SPELLINGS), min_size=cnt, max_size=cnt)),
+        "ret_type": draw(st.sampled_from(_RET_SPELLINGS)),
+        "dominant_operation_categories": draw(
+            st.lists(st.sampled_from(_CATEGORY_SPELLINGS), min_size=1, max_size=6,
+                     unique_by=lambda c: "".join(filter(str.isalnum, c.lower())))
+        ),
+        "subcall_targets": draw(st.integers(0, 3)),
+        "int_consts": draw(st.lists(_hex_spelling(), max_size=8)),
+        "float_consts": draw(st.lists(st.sampled_from(_FLOAT_SPELLINGS), max_size=6)),
+        "imm_values_cnt": draw(st.integers(0, 3)),
+        "interrupts_syscalls": draw(st.integers(0, 2)),
+        "inferred_algo": draw(st.sampled_from(_ALGO_SPELLINGS)),
+    }
+    for name in (
+        "loop", "jump_table", "indexed_addr", "simd", "string_literals", "mutates_inputs",
+        "mutates_globals", "mem_alloc", "io_ops", "block_mem_ops", "error_handling",
+    ):
+        doc[name] = draw(st.sampled_from(_BOOL_SPELLINGS))
+    doc.update(draw(st.dictionaries(st.sampled_from(_EXTENSION_KEYS), _json_values, max_size=2)))
+    present = None
+    if draw(st.booleans()):  # a partial document
+        kept = draw(st.lists(st.sampled_from(FIELD_ORDER), unique=True))
+        doc = {k: v for k, v in doc.items() if k in kept or k not in FIELD_ORDER}
+        present = draw(st.lists(st.sampled_from(kept), unique=True)) if kept else []
+    keys = draw(st.permutations(list(doc)))
+    return {k: doc[k] for k in keys}, present
+
+
+@st.composite
+def invalid_documents(draw):
+    """A document from ``raw_documents`` with one mutation that may break it."""
+    doc, present = draw(raw_documents())
+    kind = draw(st.sampled_from(("value", "drop", "not-object", "unknown-required")))
+    if kind == "value":
+        spec = FIELD_BY_NAME[draw(st.sampled_from(FIELD_ORDER))]
+        doc[spec.name] = draw(st.sampled_from(_BAD_VALUES[spec.kind]))
+    elif kind == "drop" and set(doc) & set(FIELD_ORDER):
+        del doc[draw(st.sampled_from(sorted(set(doc) & set(FIELD_ORDER))))]
+    elif kind == "not-object":
+        doc = draw(st.sampled_from(([], "loop", 5, None)))
+    else:
+        present = (present or []) + ["nope"]
+    return doc, present
+
+
+def _write_records(path, docs) -> list[tuple[str, object, list | None]]:
+    """Write (features, present) pairs as a features file with ids d0, d1, ...;
+    returns each record as read back from its JSON line."""
+    lines = []
+    for i, (doc, present) in enumerate(docs):
+        record = {"id": f"d{i}", "features": doc}
+        if present is not None:
+            record["present"] = present
+        lines.append(json.dumps(record))
+    path.write_text("\n".join(lines) + "\n")
+    return [(r["id"], r["features"], r.get("present")) for r in map(json.loads, lines)]
+
+
+def _assert_reader_matches_validate_then_flatten(path, docs):
+    """read_token_sets over the file gives flatten(validate(...)) of each line
+    under every FlattenConfig, or, at the first invalid line, validate's
+    SchemaError text after the ``path:line: `` prefix. Returns what the
+    default config gives for the lines before the first error."""
+    records = _write_records(path, docs)
+    results = {}
+    for cfg in FLATTEN_CONFIGS:
+        expected, error = [], None
+        for line_no, (fid, doc, present) in enumerate(records, 1):
+            try:
+                expected.append((fid, flatten(validate(doc, present), cfg).tokens))
+            except SchemaError as exc:
+                error = f"{path}:{line_no}: {exc}"
+                break
+        got, got_error = [], None
+        try:
+            got.extend(read_token_sets([path], cfg))
+        except SchemaError as exc:
+            got_error = str(exc)
+        assert got == expected, cfg
+        assert got_error == error, cfg
+        results[cfg] = expected
+    return results[FlattenConfig()]
+
+
+class TestReadTokenSets:
+    @given(st.lists(raw_documents(), min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_flatten_of_validate(self, tmp_path_factory, docs):
+        path = tmp_path_factory.getbasetemp() / "tokens_valid.jsonl"
+        expected = _assert_reader_matches_validate_then_flatten(path, docs)
+        assert len(expected) == len(docs)
+
+    @given(st.lists(raw_documents(), max_size=3), invalid_documents(),
+           st.lists(raw_documents(), max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_invalid_document_same_error(self, tmp_path_factory, before, bad, after):
+        path = tmp_path_factory.getbasetemp() / "tokens_invalid.jsonl"
+        _assert_reader_matches_validate_then_flatten(path, before + [bad] + after)
+
+    @pytest.mark.parametrize(
+        "field, first, second",
+        [
+            ("in_param_cnt", 1, True),
+            ("loop", True, 1),
+            ("float_consts", [1], [1.0]),
+            ("float_consts", [0.0], [-0.0]),
+            ("int_consts", ["0x10"], [16]),
+        ],
+    )
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_equal_hashing_values_stay_apart(self, tmp_path, field, first, second, order):
+        values = [first, second] if order == "forward" else [second, first]
+        docs = [({field: v}, [field]) for v in values]
+        expected = _assert_reader_matches_validate_then_flatten(tmp_path / "f.jsonl", docs)
+        if field in ("in_param_cnt", "loop"):  # the bool is no count, the count no bool
+            assert len(expected) == (1 if order == "forward" else 0)
+        elif field == "float_consts":
+            assert expected[0][1] != expected[1][1]
+        else:
+            assert expected[0][1] == expected[1][1] == {"int_consts~0x10"}
+
+    def test_extension_only_document_with_empty_present(self, tmp_path):
+        docs = [({"note": {"b": [1, {"z": 0, "a": None}]}}, [])]
+        expected = _assert_reader_matches_validate_then_flatten(tmp_path / "f.jsonl", docs)
+        assert expected == [("d0", frozenset({'note={"b":[1,{"a":null,"z":0}]}'}))]
