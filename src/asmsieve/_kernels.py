@@ -1,8 +1,11 @@
-"""Posting-list accumulation, the one hot loop in retrieval.
+"""Posting-list accumulation: the scan of the matched posting lists.
 
 Postings are kept in a CSR layout (one flat int32 array of document numbers
 plus per-token offsets). The matched ranges are gathered into one array and
 ``np.bincount`` counts, per document, how many of the query's tokens it holds.
+It is not the only counting step: ``InvertedIndex.search`` counts a query's
+densest tokens from the dense-token mask instead, when that is cheaper, and
+passes only the remaining ranges here.
 """
 
 from __future__ import annotations

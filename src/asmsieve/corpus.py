@@ -253,6 +253,9 @@ def save_corpus(path, fns: Iterable[AssemblyFunction]) -> None:
         fh.writelines(map(corpus_line, fns))
 
 
+_CORPUS_TEXT_KEYS = ("id", "library", "source_symbol", "arch", "opt_level")
+
+
 def load_corpus(path) -> list[AssemblyFunction]:
     out: list[AssemblyFunction] = []
     seen: set[str] = set()
@@ -263,20 +266,24 @@ def load_corpus(path) -> list[AssemblyFunction]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ListingParseError(f"invalid corpus JSON: {exc.msg}", line_no) from exc
-            try:
-                fn = AssemblyFunction(
-                    id=obj["id"],
-                    library=obj["library"],
-                    source_symbol=obj["source_symbol"],
-                    arch=obj["arch"],
-                    opt_level=obj["opt_level"],
-                    instructions=tuple(obj["instructions"]),
-                    truncated=bool(obj.get("truncated", False)),
-                )
-            except KeyError as exc:
-                raise ListingParseError(f"corpus record missing key {exc}", line_no) from exc
+            except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
+                raise ListingParseError(f"invalid corpus JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
+            if not isinstance(obj, dict):
+                raise ListingParseError("corpus record is not a JSON object", line_no)
+            for key in _CORPUS_TEXT_KEYS:
+                if not isinstance(obj.get(key), str):
+                    raise ListingParseError(f"corpus record needs a string {key!r}", line_no)
+            instructions = obj.get("instructions")
+            if not (isinstance(instructions, list) and all(isinstance(i, str) for i in instructions)):
+                raise ListingParseError("corpus record needs 'instructions' as a list of strings", line_no)
+            truncated = obj.get("truncated", False)
+            if not isinstance(truncated, bool):
+                raise ListingParseError("corpus record needs 'truncated' as a boolean", line_no)
+            fn = AssemblyFunction(
+                instructions=tuple(instructions),
+                truncated=truncated,
+                **{key: obj[key] for key in _CORPUS_TEXT_KEYS},
+            )
             if not fn.instructions:
                 raise ListingParseError(f"function {fn.id!r} has no instructions", line_no)
             if fn.id in seen:
@@ -307,8 +314,8 @@ def load_pairs(path) -> list[FunctionPair]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ListingParseError(f"invalid pairs JSON: {exc.msg}", line_no) from exc
+            except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
+                raise ListingParseError(f"invalid pairs JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
             if not isinstance(obj, dict):
                 raise ListingParseError("pair record is not a JSON object", line_no)
             for side in ("left", "right"):

@@ -294,7 +294,7 @@ def load_embeddings(path) -> EmbeddingStore:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
                 raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             if not isinstance(obj, Mapping) or "id" not in obj or "values" not in obj:
                 raise SchemaError(f"{path}:{line_no}: expected keys 'id' and 'values'")

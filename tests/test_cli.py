@@ -143,6 +143,20 @@ class TestExtract:
         assert rc == 2
         assert str(fixtures) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record",
+        [pytest.param("[1,2]", id="list"),
+         pytest.param('{"id": 5, "library": "l", "source_symbol": "f", "arch": "x86-64", '
+                      '"opt_level": "O0", "instructions": ["ret"]}', id="integer-id")],
+    )
+    def test_malformed_corpus_record_exits_2(self, tmp_path, capsys, record):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(record + "\n")
+        rc = run(["extract", "--corpus", str(corpus), "--client", "static",
+                  "-o", str(tmp_path / "f.jsonl")])
+        assert rc == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_mini_corpus_replay_identical_across_runs(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         run(["ingest", str(MINI / "listings" / "miniapp_x86-64_O0.lst"),

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from asmsieve.corpus import (
     AssemblyFunction,
     build_pairs,
     canonical_arch,
+    corpus_line,
     filter_short,
     instruction_body,
     load_corpus,
@@ -256,6 +258,8 @@ class TestCorpusIO:
             ('{"left": 1, "right": "b", "pairing": "cross_optimization"}', "'left'"),
             ('{"left": "a", "right": null, "pairing": "cross_optimization"}', "'right'"),
             ('{"left": "a", "right": "b"', "invalid pairs JSON"),
+            pytest.param('{"left": "a", "right": "b", "x": ' + "9" * 5000 + "}", "invalid pairs JSON",
+                         id="oversized-integer"),
         ],
     )
     def test_malformed_pair_record_names_line(self, tmp_path, record, message):
@@ -265,3 +269,37 @@ class TestCorpusIO:
         with pytest.raises(ListingParseError, match=message) as excinfo:
             load_pairs(path)
         assert excinfo.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda r: [1, 2], "not a JSON object"),
+            (lambda r: {**r, "instructions": "mov eax, 1"}, "'instructions' as a list of strings"),
+            (lambda r: {**r, "instructions": ["ret", 7]}, "'instructions' as a list of strings"),
+            (lambda r: {k: v for k, v in r.items() if k != "instructions"}, "'instructions'"),
+            (lambda r: {**r, "id": 5}, "string 'id'"),
+            (lambda r: {**r, "library": None}, "string 'library'"),
+            (lambda r: {**r, "source_symbol": ["f"]}, "string 'source_symbol'"),
+            (lambda r: {**r, "arch": 64}, "string 'arch'"),
+            (lambda r: {**r, "opt_level": 2}, "string 'opt_level'"),
+            (lambda r: {k: v for k, v in r.items() if k != "arch"}, "string 'arch'"),
+            (lambda r: {**r, "truncated": "no"}, "'truncated' as a boolean"),
+        ],
+        ids=["list", "instructions-string", "instructions-int-element", "no-instructions",
+             "int-id", "null-library", "list-symbol", "int-arch", "int-opt-level", "no-arch",
+             "string-truncated"],
+    )
+    def test_malformed_corpus_record_names_line(self, tmp_path, change, message):
+        good = json.loads(corpus_line(make_fn("g")))
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(corpus_line(make_fn()) + "\n" + json.dumps(change(good)) + "\n")
+        with pytest.raises(ListingParseError, match=message) as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line_number == 3
+
+    def test_oversized_integer_in_corpus_names_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(corpus_line(make_fn()).rstrip("}\n") + ',"x":' + "9" * 5000 + "}\n")
+        with pytest.raises(ListingParseError, match="invalid corpus JSON") as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line_number == 1

@@ -240,6 +240,139 @@ class TestTieHeavyExactness:
         assert all(result == expected for result in results)
 
 
+def skewed_documents(rng, n, n_vocab):
+    """``n`` documents whose token frequencies fall off steeply with the
+    token's rank, so a few tokens are in most documents and the 64 densest
+    tokens end among ties of rare ones."""
+    vocab = [f"v{i:03d}" for i in range(n_vocab)]
+    return {
+        f"d{i:03d}": frozenset(t for r, t in enumerate(vocab) if rng.random() < 0.9 / (1 + r / 4))
+        for i in range(n)
+    }, vocab
+
+
+@st.composite
+def skewed_corpus(draw):
+    """Up to 40 skewed documents over 70-100 tokens in a random insertion
+    order, a split point as in ``tie_heavy_corpus``, and queries on both sides
+    of the rule that counts dense tokens from the mask: one holding the
+    densest tokens and some rare ones, one of rare tokens only, a random one
+    and the empty one."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    docs, vocab = skewed_documents(rng, n, draw(st.integers(70, 100)))
+    order = draw(st.permutations(list(docs)))
+    queries = [
+        frozenset(vocab[:8] + rng.sample(vocab[8:], 4)),
+        frozenset(rng.sample(vocab[40:], 3)),
+        frozenset(t for t in vocab if rng.random() < 0.2),
+        frozenset(),
+    ]
+    return docs, order, queries, draw(st.integers(1, n))
+
+
+class TestDenseMask:
+    _assert_exhaustive = staticmethod(TestTieHeavyExactness._assert_exhaustive)
+    _loaded_then_added = staticmethod(TestTieHeavyExactness._loaded_then_added)
+
+    @given(skewed_corpus())
+    @settings(max_examples=40, deadline=None)
+    def test_fresh_loaded_and_updated_match_exhaustive_scan(self, corpus):
+        docs, order, queries, split = corpus
+        first, rest = order[:split], order[split:]
+        first_docs = {fid: docs[fid] for fid in first}
+        # Search, add, search again: the second view needs its own mask.
+        ix = build_index(first_docs)
+        for query in queries:
+            self._assert_exhaustive(ix, first_docs, query)
+        for fid in rest:
+            ix.add(fid, docs[fid])
+        for query in queries:
+            self._assert_exhaustive(ix, docs, query)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = self._loaded_then_added(tmp, docs, first, [])
+            for query in queries:
+                self._assert_exhaustive(loaded, first_docs, query)
+            pending = self._loaded_then_added(tmp, docs, first, rest)
+            for query in queries:
+                self._assert_exhaustive(pending, docs, query)
+
+    @given(skewed_corpus())
+    @settings(max_examples=20, deadline=None)
+    def test_threads_race_to_the_first_search_of_a_loaded_index(self, corpus):
+        # The first search builds the mask; four threads race to it.
+        docs, order, queries, _ = corpus
+        with tempfile.TemporaryDirectory() as tmp:
+            ix = self._loaded_then_added(tmp, docs, order, [])
+        ks = range(1, len(docs) + 3)
+        barrier = threading.Barrier(4, timeout=30)
+
+        def search_all(_):
+            barrier.wait()
+            return [list(ix.search(query, k).entries) for query in queries for k in ks]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(search_all, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [exhaustive_search(docs, query, k) for query in queries for k in ks]
+        assert all(result == expected for result in results)
+
+    def test_mask_bits_are_the_dense_postings(self):
+        docs, _ = skewed_documents(random.Random(5), 200, 120)
+        fin = build_index(docs)._ensure_finalized()
+        bits, mask = fin.dense()
+        tokens = list(fin.token_ids)
+        df = Counter(t for ts in docs.values() for t in ts)
+        # The 64 longest posting lists, ties by token number, longest first.
+        dense = sorted(range(len(tokens)), key=lambda tid: (-df[tokens[tid]], tid))[:64]
+        assert list(bits) == dense and list(bits.values()) == list(range(64))
+        assert mask.dtype == np.uint64 and mask.shape == (len(docs),)
+        for tid, bit in bits.items():
+            held = (mask >> np.uint64(bit)) & np.uint64(1)
+            assert held.tolist() == [int(tokens[tid] in docs[fid]) for fid in fin.ids]
+
+    def test_no_mask_when_the_dense_lists_cannot_outweigh_it(self):
+        # 100 documents over 200 tokens, each token in one document: the 64
+        # longest lists hold 64 postings, fewer than one per document.
+        docs = {f"d{i:03d}": frozenset({f"t{i}", f"t{i + 100}"}) for i in range(100)}
+        ix = build_index(docs)
+        bits, mask = ix._ensure_finalized().dense()
+        assert bits == {} and len(mask) == 0
+        query = frozenset({"t1", "t2", "t150"})
+        assert list(ix.search(query, 5).entries) == exhaustive_search(docs, query, 5)
+
+    def test_path_follows_the_dense_postings_count(self, monkeypatch):
+        docs, vocab = skewed_documents(random.Random(6), 200, 120)
+        ix = build_index(docs)
+        fin = ix._ensure_finalized()
+        bits, _ = fin.dense()
+        scanned = []
+        accumulate = _kernels.accumulate_counts
+
+        def spy(flat, starts, ends, n_docs):
+            scanned.append(int((ends - starts).sum()))
+            return accumulate(flat, starts, ends, n_docs)
+
+        monkeypatch.setattr(_kernels, "accumulate_counts", spy)
+        df = Counter(t for ts in docs.values() for t in ts)
+        heavy = frozenset(vocab[:6] + vocab[-3:])
+        # The rare tokens and the last dense one, whose list is short.
+        tokens = list(fin.token_ids)
+        light = frozenset(t for t in vocab if fin.token_ids[t] not in bits) | {tokens[list(bits)[-1]]}
+        assert sum(df[t] for t in heavy if fin.token_ids[t] in bits) > len(docs)
+        assert sum(df[t] for t in light if fin.token_ids[t] in bits) <= len(docs)
+        for query, expected_scan in ((heavy, sum(df[t] for t in vocab[-3:])),
+                                     (light, sum(df[t] for t in light))):
+            scanned.clear()
+            assert list(ix.search(query, 10).entries) == exhaustive_search(docs, query, 10)
+            assert scanned == [expected_scan]
+
+
 class TestPrefilterRerank:
     def _setup(self, rng, n=5, dim=2):
         vocab = [f"tok{i}" for i in range(20)]

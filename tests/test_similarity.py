@@ -219,6 +219,8 @@ class TestEmbeddingStore:
             ('{"id":"b","values":[1,{}]}', "float"),
             ('{"id":"b","values":[NaN,1]}', "embedding for 'b' holds a NaN"),
             ('{"id":"b","values":[1,Infinity]}', "embedding for 'b' holds a NaN"),
+            pytest.param('{"id":"b","values":[1,' + "9" * 5000 + "]}", "invalid JSON",
+                         id="oversized-integer"),
         ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, record, message):
