@@ -62,19 +62,31 @@ def _fail(message: str) -> None:
 
 
 def load_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines; values go through JSON when possible."""
+    """Parse ``key = value`` lines; values go through JSON when possible and
+    stay strings when they are not JSON. A file that is not UTF-8, and a
+    value JSON parses but cannot hold (an integer past int_max_str_digits,
+    nesting past the recursion limit), raise ``ConfigurationError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from exc
     out: dict = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigurationError(f"config line is not 'key = value': {raw!r}")
+            raise ConfigurationError(
+                f"{path}, line {line_no}: config line is not 'key = value': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            out[key.replace("-", "_")] = json.loads(value)
+            value = json.loads(value)
         except json.JSONDecodeError:
-            out[key.replace("-", "_")] = value
+            pass
+        except (ValueError, RecursionError) as exc:
+            raise ConfigurationError(
+                f"{path}, line {line_no}: config value for {key!r} is unreadable: {exc}") from exc
+        out[key.replace("-", "_")] = value
     return out
 
 

@@ -27,6 +27,13 @@ there are documents, since then no query could take the mask path.
 
 The documents live only in the CSR arrays of ``_Finalized``; ``add`` buffers
 new ones until the next search, ``persist`` or ``cardinality`` merges them in.
+The merge sorts the batch only: old doc and token numbers keep their order
+under it, so the old postings are copied once, in order, around the new ones,
+which a binary search places within their tokens' lists. On a 2-vCPU host,
+1,000 documents added to a loaded 100,000-document index and the first search
+after them took 20–31 ms, against 0.13 s when every posting was re-sorted, and
+two to three times that when the new ids interleave with the old ones, which
+renumbers the old postings.
 The index holds token sets only; the readable documents stay in the features
 file they were flattened from.
 
@@ -154,6 +161,120 @@ def _dense_mask(offsets: np.ndarray, flat: np.ndarray, n_docs: int) -> tuple[dic
     return dict(zip(top, range(len(top)))), mask
 
 
+def _merge(old: _Finalized, new_ids: list[str], vocab: dict[str, int], tok, lens) -> _Finalized:
+    """The view holding ``old``'s documents and the buffered ones: ``new_ids``
+    in add order, their tokens as ``tok``, numbers into ``vocab`` (a token's
+    number is its first-seen order), ``lens`` of them per document.
+
+    Only the batch is sorted. The old side keeps its order: old doc and
+    token numbers map monotonically onto the merged ones, so the old
+    postings go, in order, into the slots the new ones leave free."""
+    m, n_old = len(new_ids), len(old.ids)
+    order = sorted(range(m), key=new_ids.__getitem__)
+    batch_ids = list(map(new_ids.__getitem__, order))
+    rank = np.empty(m, dtype=np.int64)  # add order -> place among the new ids
+    rank[order] = np.arange(m)
+    lens = np.frombuffer(lens, dtype=np.int32)
+    batch_cards = np.empty(m, dtype=np.int64)  # token counts of the sorted new ids
+    batch_cards[rank] = lens
+
+    added = sorted(t for t in vocab if t not in old.token_ids)
+    token_ids, old_tok = old.token_ids, np.arange(len(old.token_ids))  # old -> merged numbers
+    if added and token_ids:
+        old_tokens = list(token_ids)
+        before = _positions(old_tokens, added)
+        merged_tokens = _interleave(old_tokens, added, before)
+        token_ids = dict(zip(merged_tokens, range(len(merged_tokens))))
+        old_tok = _shifted(len(old_tokens), before)
+    elif added:
+        token_ids = dict(zip(added, range(len(added))))
+    # One key per batch posting, token << 32 | place among the new ids: once
+    # sorted, each token's new postings are contiguous and in doc order.
+    keys = np.fromiter(map(token_ids.__getitem__, vocab), np.int64, len(vocab))[
+        np.fromiter(tok, np.int64, len(tok))
+    ] << 32 | np.repeat(rank, lens)
+    keys.sort()
+    if not n_old:
+        # A fresh build: the sorted keys are the index.
+        return _Finalized(
+            batch_ids,
+            token_ids,
+            np.searchsorted(keys, np.arange(len(token_ids) + 1) << 32),
+            (keys & 0xFFFFFFFF).astype(np.int32),
+            batch_cards,
+        )
+
+    # The k-th new id has at[k] old ids before it and becomes doc at[k] + k.
+    at = _positions(old.ids, batch_ids)
+    new_doc = at + np.arange(m)
+    new_tok, new_k = keys >> 32, keys & 0xFFFFFFFF
+    old_len = np.zeros(len(token_ids), dtype=np.int64)
+    old_len[old_tok] = np.diff(old.offsets)
+    offsets = np.zeros(len(token_ids) + 1, dtype=np.int64)
+    np.cumsum(old_len + np.bincount(new_tok, minlength=len(token_ids)), out=offsets[1:])
+    # Where each new posting goes among the old ones: at the end of its
+    # token's old postings, unless some new id sorts before an old one.
+    ends = np.cumsum(old_len)[new_tok]
+    flat, cards = old.flat, np.empty(n_old + m, dtype=np.int64)
+    if at[0] < n_old:
+        size = old_len[new_tok]
+        ends = _search_segments(old.flat, ends - size, size, at[new_k])
+        old_doc = _shifted(n_old, at)
+        flat = old_doc.astype(np.int32)[old.flat]
+        cards[old_doc] = old.cards
+    else:
+        cards[:n_old] = old.cards
+    cards[new_doc] = batch_cards
+    slots = ends + np.arange(len(keys))
+    merged = np.empty(len(old.flat) + len(keys), dtype=np.int32)
+    merged[slots] = new_doc[new_k]
+    free = np.ones(len(merged), dtype=bool)
+    free[slots] = False
+    merged[free] = flat
+    return _Finalized(_interleave(old.ids, batch_ids, at), token_ids, offsets, merged, cards)
+
+
+def _positions(old: list[str], new: list[str]) -> np.ndarray:
+    """For each of the sorted ``new`` keys, how many sorted ``old`` keys
+    sort before it."""
+    at, lo = np.empty(len(new), dtype=np.int64), 0
+    for k, key in enumerate(new):
+        at[k] = lo = bisect_left(old, key, lo)
+    return at
+
+
+def _shifted(n_old: int, at: np.ndarray) -> np.ndarray:
+    """Merged numbers of old items 0..n_old-1 when the k-th new item has
+    ``at[k]`` old items before it: each moves up by the new ones before it."""
+    old = np.arange(n_old)
+    return old + np.searchsorted(at, old, "right")
+
+
+def _interleave(old: list, new: list, at: np.ndarray) -> list:
+    """The sorted merge of two sorted runs, ``new[k]`` after ``at[k]`` old items."""
+    out, start = [], 0
+    for key, stop in zip(new, at.tolist()):
+        out += old[start:stop]
+        out.append(key)
+        start = stop
+    out += old[start:]
+    return out
+
+
+def _search_segments(flat: np.ndarray, lo: np.ndarray, size: np.ndarray,
+                     target: np.ndarray) -> np.ndarray:
+    """For each i, the first index in the ascending run ``flat[lo[i]:lo[i] +
+    size[i]]`` whose value is not below ``target[i]``, or the run's end: one
+    binary search over all of them at once, in log2 of the longest run rounds."""
+    while size.any():
+        half = size >> 1
+        mid = lo + half
+        right = (flat.take(mid, mode="clip") < target) & (size > 0)
+        lo = np.where(right, mid + 1, lo)
+        size = np.where(right, size - half - 1, half)
+    return lo
+
+
 class InvertedIndex:
     def __init__(self) -> None:
         self._view = _Finalized(
@@ -195,46 +316,20 @@ class InvertedIndex:
         return int(fin.cards[doc])
 
     def _ensure_finalized(self) -> _Finalized:
-        """Merge the buffered documents into the view: renumber the docs in
-        id order, remap both vocabularies onto the merged sorted one, and
-        sort the (token, doc) keys of old and new postings together."""
+        """Merge the buffered documents into the view and return it.
+
+        The cost follows the batch, not the index, except for one copy of
+        the old postings: the batch's m ids and B postings are sorted
+        (O(B log B)), each new id is bisected into the old ids and each new
+        posting into its token's old postings (O((m + B) log n)), and the
+        old postings fill the merged array around the new ones in one pass.
+        They are renumbered, by one gather, only when some new id sorts
+        before an old one. A fresh build is the batch alone: one sort of its
+        (token, doc) keys. See ``_merge``."""
         with self._lock:
             if not self._new:
                 return self._view
-            old, n_old, n = self._view, len(self._view.ids), len(self)
-            ids = old.ids + list(self._new)
-            order = sorted(range(n), key=ids.__getitem__)
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = np.arange(n)
-
-            tokens = [*old.token_ids, *(t for t in self._vocab if t not in old.token_ids)]
-            tokens.sort()
-            token_ids = dict(zip(tokens, range(len(tokens))))
-
-            def remap(vocab):
-                return np.fromiter(map(token_ids.__getitem__, vocab), np.int64, len(vocab))
-
-            # One key per posting, token << 32 | doc: once sorted, each token's
-            # postings are contiguous and ascending.
-            new_doc = np.repeat(rank[n_old:], np.frombuffer(self._lens, dtype=np.int32))
-            new_tok = remap(self._vocab)[np.fromiter(self._tok, np.int64, len(self._tok))]
-            keys = np.concatenate([
-                np.repeat(remap(old.token_ids), np.diff(old.offsets)) << 32 | rank[old.flat],
-                new_tok << 32 | new_doc,
-            ])
-            keys.sort()
-            # Token counts travel with their documents: the old view's and the
-            # buffered ones, moved to the new doc numbers.
-            cards = np.empty(n, dtype=np.int64)
-            cards[rank[:n_old]] = old.cards
-            cards[rank[n_old:]] = np.frombuffer(self._lens, dtype=np.int32)
-            self._view = _Finalized(
-                list(map(ids.__getitem__, order)),
-                token_ids,
-                np.searchsorted(keys, np.arange(len(tokens) + 1) << 32),
-                (keys & 0xFFFFFFFF).astype(np.int32),
-                cards,
-            )
+            self._view = _merge(self._view, list(self._new), self._vocab, self._tok, self._lens)
             self._reset_buffer()
             return self._view
 

@@ -391,6 +391,21 @@ class TestConfigFile:
         assert run(["--config", str(tmp_path / "absent.conf"), "ingest", "x",
                     "--library", "l", "--arch", "a", "--opt-level", "O0"]) == 4
 
+    @pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000], ids=["long-integer", "deep-nesting"])
+    def test_unreadable_value_exit_4_names_file_and_line(self, tmp_path, capsys, value):
+        cfg = tmp_path / "asmsieve.conf"
+        cfg.write_text(f"# defaults\nk = {value}\n")
+        assert run(["--config", str(cfg), "ingest", "x",
+                    "--library", "l", "--arch", "a", "--opt-level", "O0"]) == 4
+        assert f"{cfg}, line 2" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_4_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "asmsieve.conf"
+        cfg.write_bytes(b"k = \xff\xfe\n")
+        assert run(["--config", str(cfg), "ingest", "x",
+                    "--library", "l", "--arch", "a", "--opt-level", "O0"]) == 4
+        assert str(cfg) in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_console_script_help(self):

@@ -240,6 +240,86 @@ class TestTieHeavyExactness:
         assert all(result == expected for result in results)
 
 
+@st.composite
+def batched_corpus(draw):
+    """Up to 30 documents, ids and tokens both drawn from small ranges so
+    that a batch's ids and tokens sort before, between and after those of
+    the batches before it, split into one to four batches in a random
+    order, each with whether the index is persisted and loaded before it;
+    and a query over the same tokens."""
+    n_vocab = draw(st.integers(1, 12))
+    tokens = st.frozensets(st.sampled_from([f"t{i:02d}" for i in range(n_vocab)]), max_size=5)
+    ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=30, unique=True))
+    docs = {f"d{i:02d}": draw(tokens) for i in ids}
+    cuts = sorted(draw(st.lists(st.integers(1, len(ids)), max_size=3)))
+    order = draw(st.permutations(list(docs)))
+    batches = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)]) if a < b]
+    reloads = [draw(st.booleans()) for _ in batches]
+    return docs, list(zip(batches, reloads)), draw(tokens)
+
+
+class TestMergeExactness:
+    """After each batch is merged in, the index is the one a fresh build of
+    the same documents gives: the same snapshot bytes, token counts and
+    exhaustive ranking."""
+
+    @staticmethod
+    def _assert_as_fresh(ix, docs, queries, tmp):
+        fresh_path, merged_path = Path(tmp) / "fresh.snap", Path(tmp) / "merged.snap"
+        build_index(docs).persist(fresh_path)
+        ix.persist(merged_path)
+        assert merged_path.read_bytes() == fresh_path.read_bytes()
+        for fid, tokens in docs.items():
+            assert ix.cardinality(fid) == len(tokens)
+        for query in queries:
+            for k in range(1, len(docs) + 3):
+                assert list(ix.search(query, k).entries) == exhaustive_search(docs, query, k)
+
+    @classmethod
+    def _add_batches(cls, batches, queries, tmp):
+        """Add each batch, reloading the index first where asked, and check
+        the index after every batch."""
+        ix, docs = InvertedIndex(), {}
+        for batch, reload in batches:
+            if reload:
+                ix.persist(Path(tmp) / "reload.snap")
+                ix = InvertedIndex.load(Path(tmp) / "reload.snap")
+            for fid, tokens in batch.items():
+                ix.add(fid, tokens)
+            docs.update(batch)
+            cls._assert_as_fresh(ix, docs, queries, tmp)
+
+    @given(batched_corpus())
+    @settings(max_examples=80, deadline=None)
+    def test_successive_batches_match_a_fresh_build(self, corpus):
+        docs, batches, query = corpus
+        with tempfile.TemporaryDirectory() as tmp:
+            self._add_batches(
+                [({fid: docs[fid] for fid in batch}, reload) for batch, reload in batches],
+                [query, frozenset()], tmp,
+            )
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["in-memory", "loaded"])
+    @pytest.mark.parametrize("old, batch", [
+        pytest.param({"m1": {"t1"}, "m2": {"t1", "t2"}}, {"a1": {"t2"}, "a2": {"t1"}},
+                     id="ids-all-before"),
+        pytest.param({"m1": {"t1"}, "m2": {"t1", "t2"}}, {"z1": {"t2"}, "z2": {"t1", "t2"}},
+                     id="ids-all-after"),
+        pytest.param({"b": {"t1"}, "d": {"t1", "t2"}, "f": {"t2"}},
+                     {"a": {"t1", "t2"}, "c": {"t2"}, "e": {"t1"}, "g": {"t1", "t2"}},
+                     id="ids-interleaved"),
+        pytest.param({"b": {"t3", "t5"}, "d": {"t5"}}, {"a": {"t1", "t3"}, "c": {"t4", "t9"}},
+                     id="tokens-before-between-after"),
+        pytest.param({"b": {"t1"}, "d": {"t1", "t2"}}, {"a": set(), "c": set(), "e": set()},
+                     id="batch-of-empty-documents"),
+        pytest.param({"b": set(), "d": set()}, {"a": {"t1"}, "c": {"t1", "t2"}, "e": set()},
+                     id="old-documents-all-empty"),
+    ])
+    def test_batch_placement(self, old, batch, reload, tmp_path):
+        queries = [frozenset(), *map(frozenset, [*old.values(), *batch.values()])]
+        self._add_batches([(old, False), (batch, reload)], queries, tmp_path)
+
+
 def skewed_documents(rng, n, n_vocab):
     """``n`` documents whose token frequencies fall off steeply with the
     token's rank, so a few tokens are in most documents and the 64 densest

@@ -14,8 +14,10 @@ Each run is ``python3 clonebench/run.py --workload W --seed S --seconds 50
         --claim query-schema:index_s
 
 The summary gives, per workload and end-to-end metric, each side's median
-and quartiles, the change's median relative to the parent's, and the pairs
-the change won (ties count for neither side); for the claimed metric, also
+and quartiles, the change's median relative to the parent's, the median and
+quartiles of the per-pair ratios change/parent (pairs whose parent value is
+0 are left out), and the pairs the change won (ties count for neither
+side); for the claimed metric, also
 whether the change won at least nine in ten pairs by more than the parent's
 interquartile range. Traced runs (``--trace 1``) are listed per pair with
 their per-layer metrics.
@@ -107,7 +109,12 @@ def summarize(runs: Path, parent_commit: str, claim: str | None, notes: list[str
                 q1, med, q3 = _quartiles(values)
                 stats[side] = {"median": med, "q1": q1, "q3": q3}
             pm, cm = stats["parent"]["median"], stats["change"]["median"]
+            # Each pair's change/parent ratio: the two runs of a pair ran back
+            # to back, so a host that changes speed between pairs moves both.
+            ratios = [c / p for p, c in zip(sides["parent"], sides["change"]) if p]
+            q1, med, q3 = _quartiles(ratios) if ratios else (None, None, None)
             summary[metric] = {**stats, "change_vs_parent": cm / pm - 1 if pm else None,
+                               "pair_ratio": {"median": med, "q1": q1, "q3": q3},
                                "pairs": len(pairs), "change_won": wins, "change_lost": losses}
         block["pairs"] = len(pairs)
         block["all_correct"] = all(r.get("correct") for r in block["runs"])
