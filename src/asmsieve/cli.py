@@ -234,17 +234,19 @@ def _print_ranked(query_id: str, result, fmt: str, out) -> None:
         out.write(f"  {rank:>3}  {score:.6f}  {fid}\n")
 
 
-def _select_queries(features: dict, only_id: str | None) -> dict:
-    if only_id is None:
-        return features
-    if only_id not in features:
-        raise MissingFeatureError(f"no features for id {only_id!r}")
-    return {only_id: features[only_id]}
+def _read_queries(args) -> dict:
+    """The query token sets by id; with ``--id``, that query alone. Every
+    record is parsed and its id checked, but only the selected one is
+    validated and tokenized."""
+    queries = dict(read_token_sets(args.query, _flatten_config(args), args.id))
+    if args.id is not None and not queries:
+        raise MissingFeatureError(f"no features for id {args.id!r}")
+    return queries
 
 
 def cmd_search(args) -> int:
     ix = InvertedIndex.load(args.index)
-    queries = _select_queries(dict(read_token_sets(args.query, _flatten_config(args))), args.id)
+    queries = _read_queries(args)
     out = _open_out(args.output)
     try:
         if args.parallel > 1:
@@ -295,7 +297,7 @@ def cmd_diff(args) -> int:
 def cmd_rerank(args) -> int:
     ix = InvertedIndex.load(args.index)
     embeddings = load_embeddings(args.embeddings)
-    queries = _select_queries(dict(read_token_sets(args.query, _flatten_config(args))), args.id)
+    queries = _read_queries(args)
     out = _open_out(args.output)
     try:
         for fid, tokens in queries.items():
@@ -330,6 +332,10 @@ def cmd_eval(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+_ID_HELP = ("query only this function id; the other query records are parsed and "
+            "their ids checked, but their fields are not validated")
+
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's parser by name."""
@@ -385,7 +391,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--index", required=True, help="snapshot file")
     sp.add_argument("--query", action="append", required=True,
                     help="features file with query documents (repeatable)")
-    sp.add_argument("--id", help="query only this function id")
+    sp.add_argument("--id", help=_ID_HELP)
     sp.add_argument("-k", type=int, default=10)
     sp.add_argument("--parallel", type=int, default=1)
     _add_flatten_flags(sp)
@@ -404,7 +410,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--index", required=True)
     sp.add_argument("--embeddings", required=True, help="embedding JSONL file")
     sp.add_argument("--query", action="append", required=True)
-    sp.add_argument("--id", help="query only this function id")
+    sp.add_argument("--id", help=_ID_HELP)
     sp.add_argument("--k1", type=int, default=100, help="pre-filter depth (default 100)")
     sp.add_argument("--k2", type=int, default=10, help="results to keep (default 10)")
     _add_flatten_flags(sp)

@@ -266,7 +266,7 @@ def load_corpus(path) -> list[AssemblyFunction]:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
+            except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
                 raise ListingParseError(f"invalid corpus JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
             if not isinstance(obj, dict):
                 raise ListingParseError("corpus record is not a JSON object", line_no)
@@ -314,7 +314,7 @@ def load_pairs(path) -> list[FunctionPair]:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
+            except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
                 raise ListingParseError(f"invalid pairs JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
             if not isinstance(obj, dict):
                 raise ListingParseError("pair record is not a JSON object", line_no)

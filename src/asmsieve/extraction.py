@@ -92,9 +92,10 @@ def extract_features(
             raise
         try:
             doc = json.loads(response)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
             transcript.attempts.append(
-                Attempt(prompt.system, prompt.user, temperature, response, f"invalid-json: {exc.msg}")
+                Attempt(prompt.system, prompt.user, temperature, response,
+                        f"invalid-json: {getattr(exc, 'msg', exc)}")
             )
             continue
         if isinstance(doc, dict):

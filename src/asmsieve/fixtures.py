@@ -38,7 +38,7 @@ def _read_fixture(path: Path) -> dict:
     ``"attempts"`` list holds objects with an integer ``"attempt"``."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
         raise SchemaError(f"fixture {path}: invalid JSON: {exc}") from exc
     attempts = data.get("attempts") if isinstance(data, dict) else None
     if not isinstance(attempts, list) or not all(

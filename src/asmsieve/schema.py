@@ -507,7 +507,7 @@ def _parse_record(line: str) -> tuple[str, list[str] | None, Any]:
     """The id, the ``present`` list (None when absent) and the raw features of one line."""
     try:
         obj = json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
+    except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "id" not in obj or "features" not in obj:
         raise SchemaError("expected keys 'id' and 'features'")
@@ -528,12 +528,15 @@ def _first_location(paths, fid: str) -> str:
     return "an earlier line"  # the files changed while being read
 
 
-def read_records(paths, convert: Callable[[Any, list[str] | None], Any]) -> Iterator[tuple[str, Any]]:
+def read_records(paths, convert: Callable[[Any, list[str] | None], Any],
+                 only: str | None = None) -> Iterator[tuple[str, Any]]:
     """Yield ``(id, convert(features, present))`` for each record of the
     features files, in file and line order. A ``present`` list names the
     core fields the record must hold; only a missing (or null) ``present``
     means all of them. Ids must be unique across the files. Every error, the ones
-    ``convert`` raises included, is a SchemaError prefixed ``path:line: ``."""
+    ``convert`` raises included, is a SchemaError prefixed ``path:line: ``.
+    With ``only``, every line is still parsed and its id checked, but only
+    the record with that id is converted and yielded."""
     seen: set[str] = set()
     for path, line_no, line in _record_lines(paths):
         try:
@@ -541,6 +544,8 @@ def read_records(paths, convert: Callable[[Any, list[str] | None], Any]) -> Iter
             if fid in seen:
                 raise SchemaError(f"duplicate id {fid!r} (first at {_first_location(paths, fid)})")
             seen.add(fid)
+            if only is not None and fid != only:
+                continue
             value = convert(doc, present)
         except SchemaError as exc:
             raise SchemaError(f"{path}:{line_no}: {exc}") from exc

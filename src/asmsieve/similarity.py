@@ -158,7 +158,8 @@ def _memoized(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
     return call
 
 
-def read_token_sets(paths, config: FlattenConfig | None = None) -> Iterator[tuple[str, frozenset[str]]]:
+def read_token_sets(paths, config: FlattenConfig | None = None,
+                    only: str | None = None) -> Iterator[tuple[str, frozenset[str]]]:
     """Yield ``(id, tokens)`` for each record of the features files, with
     ``tokens == flatten(validate(features, present), config).tokens``: each
     field is validated and turned into tokens in one pass over the document,
@@ -166,7 +167,8 @@ def read_token_sets(paths, config: FlattenConfig | None = None) -> Iterator[tupl
     FeatureSet in between. Field results are memoized for the duration of
     the call: by value for the scalar fields, ``in_param_types`` and
     ``dominant_operation_categories``, by entry for ``int_consts`` and
-    ``float_consts``. Errors are those of ``schema.read_records``."""
+    ``float_consts``. Errors are those of ``schema.read_records``, and so is
+    ``only``: the one id whose record is validated and yielded."""
     cfg = config or FlattenConfig()
     emit = _emitters(cfg)
     steps: dict[str, Callable[[Any], tuple[str, ...]]] = {}
@@ -185,7 +187,7 @@ def read_token_sets(paths, config: FlattenConfig | None = None) -> Iterator[tupl
         check_complete(doc, required)
         return frozenset(out)
 
-    return read_records(paths, tokens)
+    return read_records(paths, tokens, only)
 
 
 def _as_token_frozenset(x: TokenSet | Iterable[str]) -> frozenset[str]:
@@ -294,7 +296,7 @@ def load_embeddings(path) -> EmbeddingStore:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
+            except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
                 raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             if not isinstance(obj, Mapping) or "id" not in obj or "values" not in obj:
                 raise SchemaError(f"{path}:{line_no}: expected keys 'id' and 'values'")

@@ -202,6 +202,40 @@ class TestIndexSearch:
         assert run(["search", "--index", str(snap), "--query", str(features_file),
                     "--id", "nope"]) == 2
 
+    @pytest.mark.parametrize("command", ["search", "rerank"])
+    def test_id_validates_only_the_selected_query(self, command, features_file, tmp_path, capsys):
+        snap = tmp_path / "index.snap"
+        run(["index", "--features", str(features_file), "-o", str(snap)])
+        emb = tmp_path / "emb.jsonl"
+        save_embeddings(emb, {"lib/sha384_init@ARM/O2": [1.0, 0.2],
+                              "lib/sha384_init@x86-64/O2": [0.9, 0.3]})
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"id":"bad","present":["loop"],"features":{"loop":5}}\n'
+                           + features_file.read_text())
+        argv = ["search", "--index", str(snap), "-k", "2"] if command == "search" else [
+            "rerank", "--index", str(snap), "--embeddings", str(emb), "--k1", "2", "--k2", "1"]
+        argv += ["--query", str(queries), "--format", "json"]
+        capsys.readouterr()
+        # The unselected record's invalid field value is not validated ...
+        assert run([*argv, "--id", "lib/sha384_init@ARM/O2"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["query"] == "lib/sha384_init@ARM/O2"
+        assert result["results"][0] == {"id": "lib/sha384_init@ARM/O2", "score": 1.0}
+        # ... but it is when selected, or when every query runs.
+        for extra in (["--id", "bad"], []):
+            assert run([*argv, *extra]) == 2
+            assert f"{queries}:1: field 'loop' must be a boolean" in capsys.readouterr().err
+        assert run([*argv, "--id", "nope"]) == 2
+        assert "no features for id 'nope'" in capsys.readouterr().err
+        # Every line is still parsed and its id checked.
+        for line in ("{", features_file.read_text().splitlines()[0]):
+            broken = tmp_path / "broken.jsonl"
+            broken.write_text(features_file.read_text() + line + "\n")
+            argv[argv.index(str(queries))] = str(broken)
+            assert run([*argv, "--id", "lib/sha384_init@ARM/O2"]) == 2
+            assert f"{broken}:3: " in capsys.readouterr().err
+            argv[argv.index(str(broken))] = str(queries)
+
     def test_corrupt_snapshot_exit_2(self, features_file, tmp_path):
         snap = tmp_path / "index.snap"
         snap.write_bytes(b"garbage")
@@ -252,6 +286,24 @@ class TestIndexSearch:
                     "--format", "json", "--parallel", "4", "-o", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+
+@pytest.mark.parametrize("reader", ["features", "pool", "corpus", "embeddings"])
+def test_deeply_nested_line_exits_2_naming_it(reader, features_file, tmp_path, capsys):
+    # One line of 100,000 '[' passes Python's recursion limit inside json.loads.
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "\n")
+    snap = tmp_path / "index.snap"
+    assert run(["index", "--features", str(features_file), "-o", str(snap)]) == 0
+    argv = {
+        "features": ["index", "--features", str(deep), "-o", str(tmp_path / "ix")],
+        "pool": ["eval", "--pool", str(deep), "--features", str(features_file)],
+        "corpus": ["extract", "--corpus", str(deep), "--client", "static", "-o", str(tmp_path / "f")],
+        "embeddings": ["rerank", "--index", str(snap), "--embeddings", str(deep),
+                       "--query", str(features_file)],
+    }[reader]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err or f"{deep}:1:" in err
 
 class TestDiff:
     def test_three_fields_differ(self, features_file, capsys):

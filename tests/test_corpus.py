@@ -260,6 +260,7 @@ class TestCorpusIO:
             ('{"left": "a", "right": "b"', "invalid pairs JSON"),
             pytest.param('{"left": "a", "right": "b", "x": ' + "9" * 5000 + "}", "invalid pairs JSON",
                          id="oversized-integer"),
+            pytest.param("[" * 100_000, "invalid pairs JSON", id="deep-nesting"),
         ],
     )
     def test_malformed_pair_record_names_line(self, tmp_path, record, message):
@@ -303,3 +304,10 @@ class TestCorpusIO:
         with pytest.raises(ListingParseError, match="invalid corpus JSON") as excinfo:
             load_corpus(path)
         assert excinfo.value.line_number == 1
+
+    def test_deep_nesting_in_corpus_names_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(corpus_line(make_fn()) + "[" * 100_000 + "\n")
+        with pytest.raises(ListingParseError, match="invalid corpus JSON") as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line_number == 2

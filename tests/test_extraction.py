@@ -73,6 +73,15 @@ class TestExtractFeatures:
         assert outcomes[0].startswith("invalid-json")
         assert outcomes[2] == "ok"
 
+    def test_unparsable_json_values_are_retried(self, fn, bank):
+        # Too deep for the parser, and an integer past int_max_str_digits.
+        client = ScriptedClient(["[" * 100_000, "9" * 5000, VALID_DOC])
+        fs, transcript = extract_features(fn, client, bank=bank)
+        outcomes = [a.outcome for a in transcript.attempts]
+        assert outcomes[0].startswith("invalid-json: maximum recursion depth")
+        assert outcomes[1].startswith("invalid-json: Exceeds the limit")
+        assert outcomes[2] == "ok"
+
     def test_always_invalid_exhausts_retries(self, fn, bank):
         client = ScriptedClient(["garbage"] * 4)
         with pytest.raises(ExtractionFailedError) as excinfo:
@@ -182,8 +191,9 @@ class TestFixtures:
             '{"attempts": [{"attempt": 0, "temperature": 0.2}]}',
             '{"attempts": [{"attempt": 0, "temperature": 0.2, "response": 5}]}',
             '{"attempts": [',
+            "[" * 100_000,
         ],
-        ids=["not-an-object", "no-response", "non-string-response", "invalid-json"],
+        ids=["not-an-object", "no-response", "non-string-response", "invalid-json", "deep-nesting"],
     )
     def test_malformed_fixture_names_its_file(self, tmp_path, body):
         path = tmp_path / f"{prompt_sha256('s', 'u')}.json"

@@ -6,6 +6,7 @@ import tempfile
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asmsieve import _kernels
+from asmsieve import index as index_module
 from asmsieve.errors import (
     ConfigurationError,
     DuplicateIdError,
@@ -453,6 +455,124 @@ class TestDenseMask:
             assert scanned == [expected_scan]
 
 
+def light_documents(rng, n, n_vocab):
+    """``n`` documents, one in ten empty, the others holding the token of rank
+    r with probability 0.9 / (1 + r): the three densest tokens hold more
+    postings than there are documents, but a document holds about four
+    tokens, so (|q| + 1) * W stays within ``n`` for short queries."""
+    vocab = [f"v{i:03d}" for i in range(n_vocab)]
+    return {
+        f"d{i:03d}": frozenset() if rng.random() < 0.1 else
+        frozenset(t for r, t in enumerate(vocab) if rng.random() < 0.9 / (1 + r))
+        for i in range(n)
+    }, vocab
+
+
+@st.composite
+def histogram_corpus(draw):
+    """60-160 light documents over 70 tokens, plus two that score 1/3 and
+    2/6 against the three densest tokens, in a random insertion order, a
+    split point as in ``tie_heavy_corpus``, and queries that take the mask
+    path: the three densest tokens alone, with rare and absent tokens, and a
+    random draw of the twelve densest."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    docs, vocab = light_documents(rng, draw(st.integers(60, 160)), 70)
+    docs["third-a"] = frozenset(vocab[:1])
+    docs["third-b"] = frozenset(vocab[:2] + vocab[60:63])
+    order = draw(st.permutations(list(docs)))
+    queries = [
+        frozenset(vocab[:3]),
+        frozenset(vocab[:3] + rng.sample(vocab[40:], 2) + ["absent"]),
+        frozenset(vocab[:3]) | frozenset(t for t in vocab[3:12] if rng.random() < 0.4),
+    ]
+    return docs, order, queries, draw(st.integers(1, len(docs)))
+
+
+@contextmanager
+def histogram_spy():
+    """Record each call of the histogram ranking as (width, |q|, whether it
+    ranked)."""
+    calls, rank = [], index_module._rank_by_histogram
+
+    def spy(counts, cards, width, qlen, k):
+        ranked = rank(counts, cards, width, qlen, k)
+        calls.append((width, qlen, ranked is not None))
+        return ranked
+
+    index_module._rank_by_histogram = spy
+    try:
+        yield calls
+    finally:
+        index_module._rank_by_histogram = rank
+
+
+class TestHistogramRanking:
+    """On the mask path, when (|q| + 1) * W <= n, search ranks by a
+    histogram of (overlap, cardinality) pairs; the entries stay those of
+    the exhaustive scan."""
+
+    _loaded_then_added = staticmethod(TestTieHeavyExactness._loaded_then_added)
+
+    @staticmethod
+    def _assert_every_k(ix, docs, query):
+        # exhaustive_search(docs, query, k) is the first k of the full ranking.
+        ranking = exhaustive_search(docs, query, len(docs))
+        for k in range(1, len(docs) + 3):
+            assert list(ix.search(query, k).entries) == ranking[:k]
+
+    @given(histogram_corpus())
+    @settings(max_examples=25, deadline=None)
+    def test_fresh_loaded_and_updated_match_exhaustive_scan(self, corpus):
+        docs, order, queries, split = corpus
+        with tempfile.TemporaryDirectory() as tmp, histogram_spy() as calls:
+            for ix in (build_index({fid: docs[fid] for fid in order}),
+                       self._loaded_then_added(tmp, docs, order, []),
+                       self._loaded_then_added(tmp, docs, order[:split], order[split:])):
+                for query in queries:
+                    self._assert_every_k(ix, docs, query)
+        # k runs past the touched documents, where the histogram declines.
+        assert {ranked for _, _, ranked in calls} == {True, False}
+
+    def test_equal_scores_from_different_bins_tie_by_id(self):
+        # Against {t0, t1}: a scores 2/4 and b 1/2, from two bins; twelve
+        # documents score 1.0 ahead of them, and c scores 1/3.
+        docs = {"a": frozenset({"t0", "t1", "x", "y"}), "b": frozenset({"t0"}),
+                "c": frozenset({"t1", "z"}), **{f"f{i:02d}": frozenset({"t0", "t1"}) for i in range(12)}}
+        query = frozenset({"t0", "t1"})
+        ix = build_index(docs)
+        with histogram_spy() as calls:
+            for k in range(1, len(docs) + 3):
+                assert list(ix.search(query, k).entries) == exhaustive_search(docs, query, k)
+        # W = 5 and (2 + 1) * 5 = n; 15 documents touched.
+        assert calls == [(5, 2, True)] * 14 + [(5, 2, False)] * 3
+        assert ix.search(query, 14).entries[-2:] == (("a", 0.5), ("b", 0.5))
+
+    def test_only_on_the_mask_path_within_the_size_rule(self):
+        docs, vocab = light_documents(random.Random(7), 200, 70)
+        n, width = len(docs), max(map(len, docs.values())) + 1
+        ix = build_index(docs)
+        fin = ix._ensure_finalized()
+        bits, _ = fin.dense()
+        assert fin.width == width
+        df = Counter(t for ts in docs.values() for t in ts)
+        dense = frozenset(vocab[:3])
+        light = frozenset([t for t in vocab if t in fin.token_ids][-4:])
+        assert all(fin.token_ids[t] in bits for t in dense) and sum(df[t] for t in dense) > n
+        assert sum(df[t] for t in light if fin.token_ids[t] in bits) <= n
+        assert (len(light) + 1) * width <= n
+        # Absent tokens raise |q| without touching a document: the largest
+        # |q| with (|q| + 1) * W <= n, and one more.
+        at_limit = dense | {f"absent{i}" for i in range(n // width - 1 - len(dense))}
+        past = at_limit | {"absent-last"}
+        assert (len(at_limit) + 1) * width <= n < (len(past) + 1) * width
+        for query, expected in ((dense, [(width, 3, True)]),
+                                (at_limit, [(width, len(at_limit), True)]),
+                                (past, []), (light, [])):
+            with histogram_spy() as calls:
+                assert list(ix.search(query, 5).entries) == exhaustive_search(docs, query, 5)
+            assert calls == expected
+
+
 class TestPrefilterRerank:
     def _setup(self, rng, n=5, dim=2):
         vocab = [f"tok{i}" for i in range(20)]
@@ -659,6 +779,10 @@ class TestSnapshotValidation:
     def _postings_not_rising(sections):
         sections[4] = sections[4][4:8] + sections[4][:4] + sections[4][8:]
 
+    @staticmethod
+    def _deeply_nested_ids(sections):
+        sections[1] = b"[" * 100_000
+
     @pytest.mark.parametrize(
         "fault",
         [
@@ -668,6 +792,7 @@ class TestSnapshotValidation:
             _posting_past_last_document,
             _negative_posting,
             _postings_not_rising,
+            _deeply_nested_ids,
         ],
     )
     def test_known_faults_rejected(self, tmp_path, fault):

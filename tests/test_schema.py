@@ -18,6 +18,7 @@ from asmsieve.schema import (
     save_features,
     validate,
 )
+from asmsieve.similarity import read_token_sets
 from helpers import random_feature_set
 
 DATA = Path(__file__).parent / "data"
@@ -244,6 +245,14 @@ class TestFeaturesFile:
         path.write_text('{"id":"a","features":{"float_consts":[' + "1" * 5000 + "]}}\n")
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:1: invalid JSON: Exceeds"):
             load_features(path)
+
+    @pytest.mark.parametrize("read", [load_features, lambda path: list(read_token_sets([path]))],
+                             ids=["load_features", "read_token_sets"])
+    def test_deep_nesting_names_its_line(self, tmp_path, read):
+        path = tmp_path / "features.jsonl"
+        path.write_text('{"id":"ok","features":{"loop":true},"present":["loop"]}\n' + "[" * 100_000 + "\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:2: invalid JSON: maximum recursion"):
+            read(path)
 
     def test_written_documents_are_canonical(self, tmp_path, variant_x86):
         path = tmp_path / "features.jsonl"

@@ -221,6 +221,7 @@ class TestEmbeddingStore:
             ('{"id":"b","values":[1,Infinity]}', "embedding for 'b' holds a NaN"),
             pytest.param('{"id":"b","values":[1,' + "9" * 5000 + "]}", "invalid JSON",
                          id="oversized-integer"),
+            pytest.param("[" * 100_000, "invalid JSON: maximum recursion", id="deep-nesting"),
         ],
     )
     def test_malformed_record_names_its_line(self, tmp_path, record, message):
