@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, ListingParseError
+from .schema import read_lines
 
 ARCH_ALIASES = {
     "x86-64": "x86-64",
@@ -259,37 +260,33 @@ _CORPUS_TEXT_KEYS = ("id", "library", "source_symbol", "arch", "opt_level")
 def load_corpus(path) -> list[AssemblyFunction]:
     out: list[AssemblyFunction] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
-                raise ListingParseError(f"invalid corpus JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
-            if not isinstance(obj, dict):
-                raise ListingParseError("corpus record is not a JSON object", line_no)
-            for key in _CORPUS_TEXT_KEYS:
-                if not isinstance(obj.get(key), str):
-                    raise ListingParseError(f"corpus record needs a string {key!r}", line_no)
-            instructions = obj.get("instructions")
-            if not (isinstance(instructions, list) and all(isinstance(i, str) for i in instructions)):
-                raise ListingParseError("corpus record needs 'instructions' as a list of strings", line_no)
-            truncated = obj.get("truncated", False)
-            if not isinstance(truncated, bool):
-                raise ListingParseError("corpus record needs 'truncated' as a boolean", line_no)
-            fn = AssemblyFunction(
-                instructions=tuple(instructions),
-                truncated=truncated,
-                **{key: obj[key] for key in _CORPUS_TEXT_KEYS},
-            )
-            if not fn.instructions:
-                raise ListingParseError(f"function {fn.id!r} has no instructions", line_no)
-            if fn.id in seen:
-                raise ListingParseError(f"duplicate function id {fn.id!r}", line_no)
-            seen.add(fn.id)
-            out.append(fn)
+    for line_no, line in read_lines(path, lambda n, msg: ListingParseError(msg, n, path)):
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
+            raise ListingParseError(f"invalid corpus JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
+        if not isinstance(obj, dict):
+            raise ListingParseError("corpus record is not a JSON object", line_no)
+        for key in _CORPUS_TEXT_KEYS:
+            if not isinstance(obj.get(key), str):
+                raise ListingParseError(f"corpus record needs a string {key!r}", line_no)
+        instructions = obj.get("instructions")
+        if not (isinstance(instructions, list) and all(isinstance(i, str) for i in instructions)):
+            raise ListingParseError("corpus record needs 'instructions' as a list of strings", line_no)
+        truncated = obj.get("truncated", False)
+        if not isinstance(truncated, bool):
+            raise ListingParseError("corpus record needs 'truncated' as a boolean", line_no)
+        fn = AssemblyFunction(
+            instructions=tuple(instructions),
+            truncated=truncated,
+            **{key: obj[key] for key in _CORPUS_TEXT_KEYS},
+        )
+        if not fn.instructions:
+            raise ListingParseError(f"function {fn.id!r} has no instructions", line_no)
+        if fn.id in seen:
+            raise ListingParseError(f"duplicate function id {fn.id!r}", line_no)
+        seen.add(fn.id)
+        out.append(fn)
     return out
 
 
@@ -307,22 +304,18 @@ def save_pairs(path, pairs: Iterable[FunctionPair]) -> None:
 
 def load_pairs(path) -> list[FunctionPair]:
     out: list[FunctionPair] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
-                raise ListingParseError(f"invalid pairs JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
-            if not isinstance(obj, dict):
-                raise ListingParseError("pair record is not a JSON object", line_no)
-            for side in ("left", "right"):
-                if not isinstance(obj.get(side), str):
-                    raise ListingParseError(f"pair record needs a string {side!r}", line_no)
-            pairing = obj.get("pairing", "")
-            if pairing not in PAIRING_KINDS:
-                raise ListingParseError(f"unknown pairing kind {pairing!r}", line_no)
-            out.append(FunctionPair(left=obj["left"], right=obj["right"], pairing=pairing))
+    for line_no, line in read_lines(path, lambda n, msg: ListingParseError(msg, n, path)):
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
+            raise ListingParseError(f"invalid pairs JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
+        if not isinstance(obj, dict):
+            raise ListingParseError("pair record is not a JSON object", line_no)
+        for side in ("left", "right"):
+            if not isinstance(obj.get(side), str):
+                raise ListingParseError(f"pair record needs a string {side!r}", line_no)
+        pairing = obj.get("pairing", "")
+        if pairing not in PAIRING_KINDS:
+            raise ListingParseError(f"unknown pairing kind {pairing!r}", line_no)
+        out.append(FunctionPair(left=obj["left"], right=obj["right"], pairing=pairing))
     return out

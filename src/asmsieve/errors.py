@@ -10,10 +10,12 @@ class ConfigurationError(AsmsieveError):
 
 
 class ListingParseError(AsmsieveError):
-    """Malformed disassembly listing. Carries the 1-based line number."""
+    """Malformed disassembly listing. Carries the 1-based line number, and
+    names it as ``path:line`` when the path is given."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, message: str, line_number: int, path=None):
+        where = f"line {line_number}" if path is None else f"{path}:{line_number}"
+        super().__init__(f"{where}: {message}")
         self.line_number = line_number
 
 

@@ -494,13 +494,27 @@ def diff(a: FeatureSet, b: FeatureSet) -> list[FieldDiff]:
     return out
 
 
+def read_lines(path, error: Callable[[int, str], Exception]) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` for each non-blank line of a UTF-8
+    text file. A line that is not UTF-8 raises ``error(line number,
+    "not UTF-8: <codec message>")``: the file is decoded with
+    ``surrogateescape``, so a bad byte reaches its own line before it fails."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(line_no, f"not UTF-8: {exc}") from exc
+            line = line.strip()
+            if line:
+                yield line_no, line
+
+
 def _record_lines(paths) -> Iterator[tuple[Any, int, str]]:
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if line:
-                    yield path, line_no, line
+        for line_no, line in read_lines(path, lambda n, msg, path=path: SchemaError(f"{path}:{n}: {msg}")):
+            yield path, line_no, line
 
 
 def _parse_record(line: str) -> tuple[str, list[str] | None, Any]:

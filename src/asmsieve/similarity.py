@@ -23,8 +23,8 @@ field's validator and then its emitter, with no ``FeatureSet`` in between.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .schema import (
     _sorted_json,
     check_complete,
     field_validators,
+    read_lines,
     read_records,
     required_set,
 )
@@ -205,38 +206,64 @@ def jaccard(a: TokenSet | Iterable[str], b: TokenSet | Iterable[str]) -> float:
     return len(sa & sb) / union
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
+    """A non-empty 1-D float64 embedding. It holds its own read-only copy of
+    ``values`` and that copy's Euclidean ``norm``, computed once here, so
+    neither can change after construction."""
+
     values: np.ndarray
+    norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.shape[0] == 0:
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 1 or values.shape[0] == 0:
             raise ValueError("embedding must be a non-empty 1-D vector")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "norm", float(np.linalg.norm(values)))
 
     @property
     def dim(self) -> int:
         return int(self.values.shape[0])
 
 
-def _as_vector(v: EmbeddingVector | Iterable[float]) -> np.ndarray:
+def _as_embedding(v: EmbeddingVector | Iterable[float]) -> EmbeddingVector:
     if isinstance(v, EmbeddingVector):
-        return v.values
-    arr = np.asarray(list(v) if not isinstance(v, np.ndarray) else v, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValueError("embedding must be a non-empty 1-D vector")
-    return arr
+        return v
+    return EmbeddingVector(v if isinstance(v, np.ndarray) else list(v))
+
+
+def _check_pair(u: EmbeddingVector, v: EmbeddingVector) -> None:
+    if u.dim != v.dim:
+        raise ValueError(f"embedding dimensions differ: {u.dim} vs {v.dim}")
+    if u.norm == 0.0 or v.norm == 0.0:
+        raise ValueError("cosine similarity is undefined for a zero vector")
 
 
 def cosine(u: EmbeddingVector | Iterable[float], v: EmbeddingVector | Iterable[float]) -> float:
-    au, av = _as_vector(u), _as_vector(v)
-    if au.shape[0] != av.shape[0]:
-        raise ValueError(f"embedding dimensions differ: {au.shape[0]} vs {av.shape[0]}")
-    nu = float(np.linalg.norm(au))
-    nv = float(np.linalg.norm(av))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity is undefined for a zero vector")
-    return float(np.dot(au, av) / (nu * nv))
+    """``u · v / (|u| |v|)`` in float64, from the vectors' cached norms."""
+    eu, ev = _as_embedding(u), _as_embedding(v)
+    _check_pair(eu, ev)
+    return float(np.dot(eu.values, ev.values) / (eu.norm * ev.norm))
+
+
+def cosines(u: EmbeddingVector | Iterable[float], vs: Sequence[EmbeddingVector]) -> np.ndarray:
+    """``[cosine(u, v) for v in vs]`` as one float64 array, bit for bit, with
+    the same first error. ``np.vecdot`` of the stacked rows with ``u`` runs
+    the same dot product per row as ``np.dot`` does for one pair, and the
+    norm products and quotients are the same IEEE operations, element by
+    element; a matrix product (``M @ u``) would not be."""
+    if not vs:
+        return np.empty(0)
+    eu = _as_embedding(u)
+    rows = [v.values for v in vs]
+    norms = np.array([v.norm for v in vs])
+    if eu.norm == 0.0 or not norms.all() or set(map(len, rows)) != {eu.dim}:
+        for v in vs:
+            _check_pair(eu, v)
+    stacked = np.concatenate(rows).reshape(len(rows), eu.dim)
+    return np.vecdot(stacked, eu.values) / (eu.norm * norms)
 
 
 def hybrid(s_a: float, s_e: float) -> HybridScore:
@@ -256,7 +283,7 @@ class EmbeddingStore:
         self._dim: int | None = None
 
     def add(self, fid: str, values: Iterable[float]) -> None:
-        vec = EmbeddingVector(np.asarray(list(values), dtype=np.float64))
+        vec = EmbeddingVector(list(values))
         if not np.all(np.isfinite(vec.values)):
             raise ValueError(f"embedding for {fid!r} holds a NaN or infinite value")
         if not np.any(vec.values):
@@ -289,25 +316,21 @@ class EmbeddingStore:
 def load_embeddings(path) -> EmbeddingStore:
     """Read a JSON-lines embedding file: ``{"id": ..., "values": [...]}``."""
     store = EmbeddingStore()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
-                raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, Mapping) or "id" not in obj or "values" not in obj:
-                raise SchemaError(f"{path}:{line_no}: expected keys 'id' and 'values'")
-            if not isinstance(obj["id"], str):
-                raise SchemaError(f"{path}:{line_no}: 'id' must be a string")
-            if not isinstance(obj["values"], list):
-                raise SchemaError(f"{path}:{line_no}: 'values' must be a list of numbers")
-            try:
-                store.add(obj["id"], obj["values"])
-            except (TypeError, ValueError) as exc:  # an element that is not a number
-                raise SchemaError(f"{path}:{line_no}: {exc}") from exc
+    for line_no, line in read_lines(path, lambda n, msg: SchemaError(f"{path}:{n}: {msg}")):
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
+            raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, Mapping) or "id" not in obj or "values" not in obj:
+            raise SchemaError(f"{path}:{line_no}: expected keys 'id' and 'values'")
+        if not isinstance(obj["id"], str):
+            raise SchemaError(f"{path}:{line_no}: 'id' must be a string")
+        if not isinstance(obj["values"], list):
+            raise SchemaError(f"{path}:{line_no}: 'values' must be a list of numbers")
+        try:
+            store.add(obj["id"], obj["values"])
+        except (TypeError, ValueError) as exc:  # an element that is not a number
+            raise SchemaError(f"{path}:{line_no}: {exc}") from exc
     return store
 
 

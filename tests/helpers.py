@@ -11,6 +11,8 @@ import random
 import struct
 import zlib
 
+import numpy as np
+
 from asmsieve.schema import (
     ALGO_CATEGORIES,
     OPERATION_CATEGORIES,
@@ -26,6 +28,10 @@ BOOL_FIELDS = (
     "mutates_inputs", "mutates_globals", "mem_alloc", "io_ops",
     "block_mem_ops", "error_handling",
 )
+
+# A vector whose cosine with itself rounds to 1.0000000000000002 in float64:
+# the first row of this draw.
+SELF_OVER_ONE = np.random.default_rng(0).standard_normal((5, 64))[0]
 
 
 class ScriptedClient:

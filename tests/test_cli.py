@@ -305,6 +305,23 @@ def test_deeply_nested_line_exits_2_naming_it(reader, features_file, tmp_path, c
     err = capsys.readouterr().err
     assert "line 1" in err or f"{deep}:1:" in err
 
+
+@pytest.mark.parametrize("reader", ["features", "pool", "corpus", "embeddings"])
+def test_non_utf8_line_exits_2_naming_it(reader, features_file, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n\xff\xfe\n")
+    snap = tmp_path / "index.snap"
+    assert run(["index", "--features", str(features_file), "-o", str(snap)]) == 0
+    argv = {
+        "features": ["index", "--features", str(bad), "-o", str(tmp_path / "ix")],
+        "pool": ["eval", "--pool", str(bad), "--features", str(features_file)],
+        "corpus": ["extract", "--corpus", str(bad), "--client", "static", "-o", str(tmp_path / "f")],
+        "embeddings": ["rerank", "--index", str(snap), "--embeddings", str(bad),
+                       "--query", str(features_file)],
+    }[reader]
+    assert run(argv) == 2
+    assert f"{bad}:2: not UTF-8: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
 class TestDiff:
     def test_three_fields_differ(self, features_file, capsys):
         rc = run(["diff", "--features", str(features_file),

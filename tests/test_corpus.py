@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -311,3 +312,15 @@ class TestCorpusIO:
         with pytest.raises(ListingParseError, match="invalid corpus JSON") as excinfo:
             load_corpus(path)
         assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize("load, good", [
+        (load_pairs, '{"left": "a", "right": "b", "pairing": "cross_optimization"}\n'),
+        (load_corpus, corpus_line(make_fn())),
+    ], ids=["pairs", "corpus"])
+    def test_non_utf8_line_names_file_and_line(self, tmp_path, load, good):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(good.encode() + b"\n\xff\n")
+        with pytest.raises(ListingParseError, match=f"^{re.escape(str(path))}:3: not UTF-8: "
+                                                    "'utf-8' codec can't decode byte 0xff") as excinfo:
+            load(path)
+        assert excinfo.value.line_number == 3

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import struct
 import sys
 import tempfile
@@ -23,8 +24,9 @@ from asmsieve.errors import (
     SnapshotError,
 )
 from asmsieve.index import InvertedIndex, SearchResult
-from asmsieve.similarity import EmbeddingStore, TokenSet, cosine, jaccard
+from asmsieve.similarity import EmbeddingStore, EmbeddingVector, TokenSet, cosine, jaccard
 from helpers import (
+    SELF_OVER_ONE,
     exhaustive_search,
     random_token_set,
     seal_snapshot,
@@ -633,6 +635,72 @@ class TestPrefilterRerank:
         store.add("far", [1.0, 0.0])
         result = ix.prefilter_rerank({"a", "b"}, [1.0, 0.0], k1=2, k2=2, embeddings=store)
         assert "far" not in result.ids()
+
+
+class TestBatchRerankExactness:
+    """``prefilter_rerank`` scores its candidates as one batch; every result
+    and every error must be the scalar composition's, exactly."""
+
+    def _setup(self, n=40, dim=64):
+        rng = random.Random(5)
+        vocab = [f"tok{i}" for i in range(30)]
+        docs = {f"doc{i:02d}": random_token_set(rng, vocab, 12) for i in range(n)}
+        rows = np.random.default_rng(5).standard_normal((n + 1, dim))
+        store = EmbeddingStore()
+        for fid, row in zip(docs, rows):
+            store.add(fid, row)
+        return build_index(docs), store, random_token_set(rng, vocab, 12), EmbeddingVector(rows[-1])
+
+    @pytest.mark.parametrize("k1", [1, 7, 40])
+    def test_equals_scalar_composition(self, k1):
+        ix, store, query, q_emb = self._setup()
+        expected = sorted(
+            ((fid, (cosine(q_emb, store[fid]) + s_a) / 2) for fid, s_a in ix.search(query, k1).entries),
+            key=lambda e: (-e[1], e[0]),
+        )
+        for k2 in {1, k1}:
+            result = ix.prefilter_rerank(query, q_emb, k1, k2, store)
+            assert result.entries == tuple(expected[:k2])
+            assert all(type(score) is float for _, score in result.entries)
+        assert ix.prefilter_rerank(query, list(q_emb.values), k1, k1, store).entries == tuple(expected)
+
+    def _faulty(self, first):
+        """Two candidates in stage-1 order: ``first`` then the other of a
+        self-lookup vector whose cosine rounds above 1 and a vector whose
+        norm underflows to 0."""
+        ix = build_index({"full": {"a", "b"}, "half": {"a"}})
+        tiny = [1e-170] * 64
+        store = EmbeddingStore()
+        store.add("full", SELF_OVER_ONE if first == "over-one" else tiny)
+        store.add("half", tiny if first == "over-one" else SELF_OVER_ONE)
+        return ix, store
+
+    def test_self_lookup_over_one_still_raises(self):
+        ix, store = self._faulty("over-one")
+        q = store["full"]
+        assert cosine(q, q) == 1.0000000000000002
+        with pytest.raises(ValueError, match=re.escape("s_e must lie in [-1, 1], got 1.0000000000000002")):
+            ix.prefilter_rerank({"a", "b"}, q, 1, 1, store)
+
+    @pytest.mark.parametrize("first, message", [
+        ("over-one", re.escape("s_e must lie in [-1, 1], got 1.0000000000000002")),
+        ("zero-norm", "cosine similarity is undefined for a zero vector"),
+    ])
+    def test_first_offending_candidate_in_stage1_order(self, first, message):
+        ix, store = self._faulty(first)
+        with pytest.raises(ValueError, match=message):
+            ix.prefilter_rerank({"a", "b"}, SELF_OVER_ONE, 2, 2, store)
+
+    def test_error_order(self):
+        ix, store, query, _ = self._setup(n=5, dim=2)
+        with pytest.raises(MissingEmbeddingError):
+            ix.prefilter_rerank(query, [0.0, 0.0, 0.0], 5, 5, EmbeddingStore())
+        with pytest.raises(ValueError, match="^embedding dimensions differ: 3 vs 2$"):
+            ix.prefilter_rerank(query, [0.0, 0.0, 0.0], 5, 5, store)
+        with pytest.raises(ValueError, match="^cosine similarity is undefined for a zero vector$"):
+            ix.prefilter_rerank(query, [0.0, 0.0], 5, 5, store)
+        with pytest.raises(ValueError, match="^embedding must be a non-empty 1-D vector$"):
+            ix.prefilter_rerank(query, [], 5, 5, store)
 
 
 class TestPersistence:

@@ -254,6 +254,16 @@ class TestFeaturesFile:
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:2: invalid JSON: maximum recursion"):
             read(path)
 
+    @pytest.mark.parametrize("read", [load_features, lambda path: list(read_token_sets([path]))],
+                             ids=["load_features", "read_token_sets"])
+    def test_non_utf8_line_names_its_line(self, tmp_path, read):
+        path = tmp_path / "features.jsonl"
+        good = b'{"id":"ok","features":{"loop":true},"present":["loop"]}\n'
+        path.write_bytes(good + b'{"id":"caf\xe9","features":{}}\n')
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:2: not UTF-8: "
+                                              "'utf-8' codec can't decode byte 0xe9 in position 10"):
+            read(path)
+
     def test_written_documents_are_canonical(self, tmp_path, variant_x86):
         path = tmp_path / "features.jsonl"
         fs = validate(variant_x86)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from asmsieve.similarity import (
     FlattenConfig,
     TokenSet,
     cosine,
+    cosines,
     count_bucket,
     flatten,
     hybrid,
@@ -23,7 +26,7 @@ from asmsieve.similarity import (
     read_token_sets,
     save_embeddings,
 )
-from helpers import random_feature_set
+from helpers import SELF_OVER_ONE, random_feature_set
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,6 +172,77 @@ class TestCosine:
         assert cosine(alpha * u, v) == pytest.approx(cosine(u, v), abs=1e-12)
 
 
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@st.composite
+def _vectors(draw, dim):
+    """A vector of ``dim`` standard-normal entries scaled by 10**e, e in [-100, 100]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal(dim) * 10.0 ** draw(st.floats(-100, 100))
+
+
+@st.composite
+def _query_and_rows(draw):
+    dim = draw(st.integers(1, 800))
+    return draw(_vectors(dim)), draw(st.lists(_vectors(dim), min_size=1, max_size=8))
+
+
+class TestBatchCosine:
+    @given(_query_and_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar_bit_for_bit(self, case):
+        q, rows = case
+        vs = [EmbeddingVector(r) for r in rows]
+        assert _bits(cosines(q, vs)) == _bits([cosine(q, v) for v in vs])
+        assert _bits(cosines(EmbeddingVector(q), vs)) == _bits([cosine(q, r) for r in rows])
+
+    def test_self_cosine_over_one_on_both_paths(self):
+        v = EmbeddingVector(SELF_OVER_ONE)
+        assert cosine(v, v) == 1.0000000000000002
+        assert cosines(v, [v, v]).tolist() == [1.0000000000000002] * 2
+
+    def test_empty_batch_checks_nothing(self):
+        assert cosines([], []).shape == (0,)
+
+    @pytest.mark.parametrize("query, rows, message", [
+        ([1.0, 2.0], [[1.0, 2.0, 3.0], [0.0, 1.0]], "embedding dimensions differ: 2 vs 3"),
+        ([0.0, 0.0], [[1.0, 2.0, 3.0]], "embedding dimensions differ: 2 vs 3"),
+        ([0.0, 0.0], [[1.0, 2.0], [1.0, 2.0, 3.0]], "undefined for a zero vector"),
+        ([1.0, 2.0], [[1e-170, 1e-170], [1.0, 2.0, 3.0]], "undefined for a zero vector"),
+        ([[1.0, 2.0]], [[1.0, 2.0]], "non-empty 1-D vector"),
+    ], ids=["dim", "dim-before-zero-query", "zero-query", "zero-norm-row", "query-shape"])
+    def test_first_error_is_the_scalar_loops(self, query, rows, message):
+        vs = [EmbeddingVector(r) for r in rows]
+        with pytest.raises(ValueError, match=message):
+            [cosine(query, v) for v in vs]
+        with pytest.raises(ValueError, match=message):
+            cosines(query, vs)
+
+
+class TestEmbeddingVector:
+    def test_holds_its_own_read_only_copy(self):
+        source = np.array([3.0, 4.0])
+        vec = EmbeddingVector(source)
+        source[:] = [0.0, 1.0]
+        assert vec.values.tolist() == [3.0, 4.0] and vec.norm == 5.0
+        assert cosine(vec, [3.0, 4.0]) == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            vec.values[0] = 1.0
+
+    def test_is_frozen(self):
+        vec = EmbeddingVector([3.0, 4.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vec.norm = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vec.values = np.zeros(2)
+
+    def test_norm_is_linalg_norm(self):
+        row = np.random.default_rng(1).standard_normal(97)
+        assert EmbeddingVector(row).norm == float(np.linalg.norm(row))
+
+
 class TestHybrid:
     @pytest.mark.parametrize(
         "s_a,s_e,expected", [(0.4, 0.8, 0.6), (1.0, 1.0, 1.0), (0.0, -1.0, -0.5)]
@@ -228,6 +302,13 @@ class TestEmbeddingStore:
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id":"a","values":[1,2]}\n' + record + "\n")
         with pytest.raises(SchemaError, match=f":2: {message}"):
+            load_embeddings(path)
+
+    def test_non_utf8_line_names_its_line(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_bytes(b'{"id":"a","values":[1,2]}\n{"id":"\xc3","values":[1,2]}\n')
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:2: not UTF-8: "
+                                              "'utf-8' codec can't decode byte 0xc3"):
             load_embeddings(path)
 
     def test_vector_wrapper(self):

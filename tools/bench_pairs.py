@@ -17,10 +17,13 @@ The summary gives, per workload and end-to-end metric, each side's median
 and quartiles, the change's median relative to the parent's, the median and
 quartiles of the per-pair ratios change/parent (pairs whose parent value is
 0 are left out), and the pairs the change won (ties count for neither
-side); for the claimed metric, also
-whether the change won at least nine in ten pairs by more than the parent's
-interquartile range. Traced runs (``--trace 1``) are listed per pair with
-their per-layer metrics.
+side). Per workload it also gives each side's ``failed/attempted`` values
+and share of failed operations, and lists under ``worse_than_bound`` every
+end-to-end metric whose change median is worse than the parent's by more
+than the metric's ``bound`` in BENCHMARK.json. For the claimed metric, it
+also says whether the change won at least nine in ten pairs by more than
+the parent's interquartile range. Traced runs (``--trace 1``) are listed
+per pair with their per-layer metrics.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(runs: Path, parent_commit: str, claim: str | None, notes: list[str]) -> dict:
     records = [json.loads(line) for line in runs.read_text(encoding="utf-8").splitlines()]
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bound = {m["name"]: m["bound"] for m in end_to_end}
     workloads: dict[str, dict] = {}
     traced: dict[str, list] = {}
     for rec in records:
@@ -118,7 +122,19 @@ def summarize(runs: Path, parent_commit: str, claim: str | None, notes: list[str
                                "pairs": len(pairs), "change_won": wins, "change_lost": losses}
         block["pairs"] = len(pairs)
         block["all_correct"] = all(r.get("correct") for r in block["runs"])
-        block["failed_over_attempted"] = sorted({f"{r['failed']}/{r['attempted']}" for r in ok})
+        by_side = {side: [r for r in ok if r["side"] == side] for side in ("parent", "change")}
+        block["failed_over_attempted"] = {
+            side: sorted({f"{r['failed']}/{r['attempted']}" for r in rs}) for side, rs in by_side.items()}
+        share = {side: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
+                 for side, rs in by_side.items()}
+        block["failed_share"] = share
+        block["change_fails_more"] = share["change"] > share["parent"]
+        block["worse_than_bound"] = []
+        for metric, row in summary.items():
+            rel = row["change_vs_parent"]
+            if rel is not None and (rel if better[metric] == "lower" else -rel) > bound[metric]:
+                block["worse_than_bound"].append(
+                    {"metric": metric, "change_vs_parent": rel, "bound": bound[metric]})
         block["summary"] = summary
         if workload == claim_workload:
             s = summary[claim_metric]
