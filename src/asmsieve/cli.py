@@ -446,6 +446,9 @@ def main(argv=None) -> int:
         options = vars(args).keys() - {"config", "command", "func"}
         commands[args.command].set_defaults(**{k: v for k, v in defaults.items() if k in options})
         args = parser.parse_args(argv)
+    # checked here rather than by an argparse type, which a config default skips
+    if getattr(args, "parallel", 1) < 1:
+        commands[args.command].error(f"argument --parallel: must be at least 1, got {args.parallel}")
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -466,6 +466,8 @@ class InvertedIndex:
         where 100 ``cosine`` and ``hybrid`` calls, each re-deriving both
         norms, took about 0.95 ms.
         """
+        if k2 <= 0:
+            raise ValueError(f"k2 must be positive, got {k2}")
         if k2 > k1:
             raise ConfigurationError(f"k2 ({k2}) must not exceed k1 ({k1})")
         entries = self.search(query, k1).entries

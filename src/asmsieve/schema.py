@@ -9,8 +9,8 @@ documents.
 
 Each core field's rule lives in one validator, built once from ``FIELDS``
 by ``field_validators`` (a table by field name); ``validate`` dispatches
-through it, and so does the token reader in ``similarity``, which builds
-the same table with memoized entry normalizers. ``check_complete`` holds
+through it, and so does the token reader in ``similarity``, which keeps
+its own memos around the same validators. ``check_complete`` holds
 the document-level rules (required fields, parameter count). Features files
 are read through one record reader, ``read_records``: it parses each JSON
 line, checks its ``id`` and ``present`` list, rejects an id repeated across
@@ -258,9 +258,9 @@ def _hex_entry(name: str, value: Any) -> str:
     return text
 
 
-def _hex_array(name: str, entry: Callable[[Any], str], value: Any) -> tuple[str, ...]:
+def _hex_array(name: str, value: Any) -> tuple[str, ...]:
     _require_array(name, value)
-    texts = set(map(entry, value))
+    texts = {_hex_entry(name, v) for v in value}
     if len(texts) > MAX_INT_CONSTS:
         raise SchemaError(
             f"field {name!r} holds {len(texts)} constants, limit is {MAX_INT_CONSTS}"
@@ -283,12 +283,12 @@ def _dec_entry(name: str, value: Any) -> str:
     raise SchemaError(f"field {name!r} entries must be numbers or strings")
 
 
-def _dec_array(name: str, entry: Callable[[Any], str], value: Any) -> tuple[str, ...]:
+def _dec_array(name: str, value: Any) -> tuple[str, ...]:
     _require_array(name, value)
-    return tuple(sorted(set(map(entry, value))))
+    return tuple(sorted({_dec_entry(name, v) for v in value}))
 
 
-def _field_validator(spec: FieldSpec, wrap_entry: Callable) -> Callable[[Any], Any]:
+def _field_validator(spec: FieldSpec) -> Callable[[Any], Any]:
     name, kind = spec.name, spec.kind
     if kind == "bool":
         return partial(_require_bool, name)
@@ -302,18 +302,16 @@ def _field_validator(spec: FieldSpec, wrap_entry: Callable) -> Callable[[Any], A
     if kind == "cat_array":
         return partial(_categories, name)
     if kind == "hex_array":
-        return partial(_hex_array, name, wrap_entry(partial(_hex_entry, name)))
+        return partial(_hex_array, name)
     if kind == "dec_array":
-        return partial(_dec_array, name, wrap_entry(partial(_dec_entry, name)))
+        return partial(_dec_array, name)
     raise AssertionError(f"unhandled field kind {kind}")
 
 
-def field_validators(wrap_entry: Callable = lambda entry: entry) -> dict[str, Callable[[Any], Any]]:
+def field_validators() -> dict[str, Callable[[Any], Any]]:
     """One validator per core field, by name: each takes the raw JSON value
-    and returns the normalized one or raises SchemaError. ``wrap_entry``
-    wraps the per-entry normalizers of ``int_consts`` and ``float_consts``
-    (the token reader passes a memo)."""
-    return {spec.name: _field_validator(spec, wrap_entry) for spec in FIELDS}
+    and returns the normalized one or raises SchemaError."""
+    return {spec.name: _field_validator(spec) for spec in FIELDS}
 
 
 _VALIDATORS = field_validators()

@@ -286,6 +286,26 @@ class TestIndexSearch:
                     "--format", "json", "--parallel", "4", "-o", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["search", "extract"])
+    def test_parallel_below_one_exit_2(self, command, value, features_file, tmp_path, capsys):
+        if command == "search":
+            argv = ["search", "--index", str(tmp_path / "index.snap"), "--query", str(features_file)]
+        else:
+            argv = ["extract", "--corpus", str(tmp_path / "corpus.jsonl"), "-o", str(tmp_path / "f.jsonl")]
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + ["--parallel", value])
+        assert excinfo.value.code == 2
+        assert f"--parallel: must be at least 1, got {value}" in capsys.readouterr().err
+
+    def test_parallel_below_one_from_config_exit_2(self, features_file, tmp_path):
+        cfg = tmp_path / "asmsieve.conf"
+        cfg.write_text("parallel = 0\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", str(cfg), "search", "--index", str(tmp_path / "index.snap"),
+                 "--query", str(features_file)])
+        assert excinfo.value.code == 2
+
 
 @pytest.mark.parametrize("reader", ["features", "pool", "corpus", "embeddings"])
 def test_deeply_nested_line_exits_2_naming_it(reader, features_file, tmp_path, capsys):
@@ -366,6 +386,19 @@ class TestRerank:
         save_embeddings(emb, {"lib/sha384_init@ARM/O2": [1.0]})
         assert run(["rerank", "--index", str(snap), "--embeddings", str(emb),
                     "--query", str(features_file), "--k1", "1", "--k2", "5"]) == 4
+
+    @pytest.mark.parametrize("k2", ["0", "-1"])
+    def test_k2_not_positive_exit_2(self, features_file, tmp_path, capsys, k2):
+        snap = tmp_path / "index.snap"
+        run(["index", "--features", str(features_file), "-o", str(snap)])
+        emb = tmp_path / "emb.jsonl"
+        save_embeddings(emb, {"lib/sha384_init@ARM/O2": [1.0], "lib/sha384_init@x86-64/O2": [0.5]})
+        rc = run(["rerank", "--index", str(snap), "--embeddings", str(emb),
+                  "--query", str(features_file), "--k1", "2", "--k2", k2])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"k2 must be positive, got {k2}" in captured.err
 
 
 class TestEval:

@@ -625,6 +625,13 @@ class TestPrefilterRerank:
         with pytest.raises(ConfigurationError):
             ix.prefilter_rerank(query, q_emb, k1=2, k2=3, embeddings=store)
 
+    @pytest.mark.parametrize("k2", [0, -1])
+    def test_k2_must_be_positive(self, k2):
+        rng = random.Random(11)
+        _, ix, store, query, q_emb = self._setup(rng)
+        with pytest.raises(ValueError, match=f"k2 must be positive, got {k2}"):
+            ix.prefilter_rerank(query, q_emb, k1=5, k2=k2, embeddings=store)
+
     def test_candidate_set_is_stage1(self):
         # A document with a great embedding but no token overlap must not
         # appear when the pre-filter cuts it.

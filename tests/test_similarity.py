@@ -494,3 +494,119 @@ class TestReadTokenSets:
         docs = [({"note": {"b": [1, {"z": 0, "a": None}]}}, [])]
         expected = _assert_reader_matches_validate_then_flatten(tmp_path / "f.jsonl", docs)
         assert expected == [("d0", frozenset({'note={"b":[1,{"a":null,"z":0}]}'}))]
+
+
+# Constants that warm the reader's entry table: 20 distinct hex values, some
+# in two spellings, and float spellings; with the entries that are no string.
+_HEX_POOL = tuple(f"0x{v:x}" for v in range(2, 22)) + ("0X1F", "1f", " 0x2 ", "0x0010")
+_FLOAT_POOL = ("1.5", " 0.5 ", "1e3", "-0.0", "1", "1.0", "inf", "2")
+_NON_STRING_ENTRIES = {
+    "int_consts": (16, True, 0, 1.5, None, [16], ["0x10"], {"0x10": 1}),
+    "float_consts": (1, 1.0, -0.0, True, None, [1.0], ["1.5"], {"1.5": 1}),
+}
+_BAD_STRING_ENTRIES = {"int_consts": ("1", "0xff", "zz", "-5"), "float_consts": ("abc", "")}
+
+
+@st.composite
+def shared_constant_documents(draw):
+    """Documents whose constants come from one small pool, so entries repeat
+    across lines; the last document may be mutated into an invalid one."""
+    pools = {
+        "int_consts": draw(st.lists(st.sampled_from(_HEX_POOL), min_size=1, max_size=20, unique=True)),
+        "float_consts": draw(st.lists(st.sampled_from(_FLOAT_POOL), min_size=1, unique=True)),
+    }
+    docs = draw(st.lists(raw_documents(), min_size=1, max_size=6))
+    for doc, _ in docs:
+        for name, pool in pools.items():
+            if name in doc:
+                doc[name] = draw(st.lists(st.sampled_from(pool), max_size=18))
+    kind = draw(st.sampled_from(("none", "constants", "constants-not-array", "other")))
+    doc, _ = docs[-1]
+    if kind == "constants":
+        name = draw(st.sampled_from(sorted(pools)))
+        odd = _NON_STRING_ENTRIES[name] + _BAD_STRING_ENTRIES[name]
+        doc[name] = draw(st.lists(st.sampled_from(pools[name]) | st.sampled_from(odd),
+                                  min_size=1, max_size=18))
+    elif kind == "constants-not-array":
+        name = draw(st.sampled_from(sorted(pools)))
+        entry = draw(st.sampled_from(pools[name]))
+        doc[name] = draw(st.sampled_from((entry, {entry: 1}, None, 16)))
+    elif kind == "other":
+        spec = FIELD_BY_NAME[draw(st.sampled_from(FIELD_ORDER))]
+        doc[spec.name] = draw(st.sampled_from(_BAD_VALUES[spec.kind]))
+    return docs
+
+
+class TestWarmEntryTable:
+    """read_token_sets keeps one table per call from each string entry of
+    ``int_consts`` and ``float_consts`` to its token; these lines reach it
+    warm, from the lines before them."""
+
+    @staticmethod
+    def _check(tmp_path, docs):
+        return _assert_reader_matches_validate_then_flatten(tmp_path / "f.jsonl", docs)
+
+    def test_sixteen_cached_entries_still_exceed_the_limit(self, tmp_path):
+        hexes = [f"0x{v:x}" for v in range(2, 18)]
+        docs = [({"int_consts": v}, ["int_consts"]) for v in (hexes[:8], hexes[8:], hexes)]
+        expected = self._check(tmp_path, docs)
+        assert len(expected) == 2
+
+    def test_repeated_and_respelled_entries_count_once(self, tmp_path):
+        hexes = [f"0x{v:x}" for v in range(2, 17)]  # 15 distinct values
+        docs = [({"int_consts": hexes}, ["int_consts"]),
+                ({"int_consts": hexes + hexes[:5] + ["0X2", "0x0003"]}, ["int_consts"])]
+        expected = self._check(tmp_path, docs)
+        assert expected[0][1] == expected[1][1] and len(expected[1][1]) == 15
+
+    @pytest.mark.parametrize(
+        "field, cached, later",
+        [
+            ("int_consts", "0x10", 16),
+            ("int_consts", "0x10", True),
+            ("int_consts", "0x10", 16.0),
+            ("float_consts", "1", 1),
+            ("float_consts", "1.0", 1.0),
+            ("float_consts", "-0.0", -0.0),
+            ("float_consts", "1", True),
+        ],
+    )
+    def test_cached_string_then_equal_non_string(self, tmp_path, field, cached, later):
+        docs = [({field: [cached]}, [field]), ({field: [later]}, [field]),
+                ({field: [cached, later]}, [field])]
+        self._check(tmp_path, docs)
+
+    @pytest.mark.parametrize("field, cached", [("int_consts", "0x10"), ("float_consts", "1.5")])
+    @pytest.mark.parametrize("nested", ["list", "dict", "list-of-cached"])
+    def test_cached_string_beside_a_nested_value(self, tmp_path, field, cached, nested):
+        odd = {"list": [16], "dict": {cached: 1}, "list-of-cached": [cached]}[nested]
+        docs = [({field: [cached]}, [field]), ({field: [cached, odd]}, [field])]
+        assert len(self._check(tmp_path, docs)) == 1
+
+    @pytest.mark.parametrize("field, cached", [("int_consts", "0x10"), ("float_consts", "1.5")])
+    @pytest.mark.parametrize("form", ["string", "dict", "string-of-cached-chars"])
+    def test_cached_entries_do_not_pass_a_non_array(self, tmp_path, field, cached, form):
+        chars = ["5", "2"] if field == "float_consts" else ["a", "b"]
+        value = {"string": cached, "dict": {cached: 1}, "string-of-cached-chars": "".join(chars)}[form]
+        docs = [({field: [cached, *chars]}, [field]), ({field: value}, [field])]
+        assert len(self._check(tmp_path, docs)) == 1
+
+    @pytest.mark.parametrize("order", ["bad-first", "constants-first"])
+    def test_error_order_kept_when_constants_are_cached(self, tmp_path, order):
+        warm = {"int_consts": ["0x10", "0x2f"], "float_consts": ["1.5"]}
+        bad = {"loop": "maybe", "in_param_cnt": -1}
+        fields = {**bad, **warm} if order == "bad-first" else {**warm, **bad}
+        docs = [(warm, list(warm)), (fields, list(warm))]
+        expected = self._check(tmp_path, docs)
+        assert len(expected) == 1
+
+    def test_uncached_constants_error_before_a_later_field(self, tmp_path):
+        docs = [({"int_consts": ["0x10"]}, []),
+                ({"int_consts": ["0x10", "zz"], "loop": "maybe"}, [])]
+        self._check(tmp_path, docs)
+
+    @given(shared_constant_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_pool_equals_flatten_of_validate(self, tmp_path_factory, docs):
+        path = tmp_path_factory.getbasetemp() / "tokens_shared.jsonl"
+        _assert_reader_matches_validate_then_flatten(path, docs)
