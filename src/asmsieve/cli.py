@@ -9,10 +9,10 @@ Secrets come from the environment (ASMSIEVE_LLM_URL, ASMSIEVE_LLM_KEY).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
 import json
 import sys
-from pathlib import Path
+from concurrent.futures import ThreadPoolExecutor
 
 from . import corpus as corpus_mod
 from . import schema as schema_mod
@@ -21,14 +21,10 @@ from .errors import (
     AsmsieveError,
     ClientTransportError,
     ConfigurationError,
-    DuplicateIdError,
     ExtractionFailedError,
     FixtureMissError,
-    ListingParseError,
     MissingEmbeddingError,
     MissingFeatureError,
-    SchemaError,
-    SnapshotError,
 )
 from .evaluation import SCORERS, EvalPool, evaluate_pool
 from .extraction import RetryPolicy, extract_features
@@ -44,18 +40,6 @@ EXIT_INPUT = 2
 EXIT_EXTRACTION = 3
 EXIT_CONFIG = 4
 
-_INPUT_ERRORS = (
-    ListingParseError,
-    SnapshotError,
-    SchemaError,
-    MissingFeatureError,
-    MissingEmbeddingError,
-    DuplicateIdError,
-    FixtureMissError,
-    FileNotFoundError,
-    IsADirectoryError,
-)
-
 
 def _fail(message: str) -> None:
     print(f"asmsieve: error: {message}", file=sys.stderr)
@@ -66,10 +50,7 @@ def load_config_file(path: str) -> dict:
     stay strings when they are not JSON. A file that is not UTF-8, and a
     value JSON parses but cannot hold (an integer past int_max_str_digits,
     nesting past the recursion limit), raise ``ConfigurationError``."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    text = schema_mod.read_text(path, lambda n, msg: ConfigurationError(f"{path}, line {n}: {msg}"))
     out: dict = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -104,10 +85,23 @@ def _add_flatten_flags(sp) -> None:
                     help="flatten each array field to one token instead of per element")
 
 
-def _open_out(path: str):
+@contextlib.contextmanager
+def _output(path: str):
+    """The ``-o`` stream: stdout for ``-``, left open, else the file, closed on exit."""
     if path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+
+
+def _ordered_map(fn, items, parallel: int) -> list:
+    """``[fn(x) for x in items]``: in the calling thread at ``parallel`` 1,
+    else on that many threads; results keep the order of ``items``."""
+    if parallel == 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------- ingest
@@ -115,21 +109,16 @@ def _open_out(path: str):
 def cmd_ingest(args) -> int:
     functions = []
     for path in args.listings:
-        text = Path(path).read_text(encoding="utf-8")
         functions.extend(
-            corpus_mod.parse_listing(
-                text, library=args.library, arch=args.arch, opt_level=args.opt_level
+            corpus_mod.read_listing(
+                path, library=args.library, arch=args.arch, opt_level=args.opt_level
             )
         )
     functions = corpus_mod.filter_short(functions, args.min_instr)
     if args.max_instr:
         functions = [corpus_mod.truncate(fn, args.max_instr) for fn in functions]
-    out = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.writelines(map(corpus_mod.corpus_line, functions))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"ingested {len(functions)} function(s)", file=sys.stderr)
     return EXIT_OK
 
@@ -172,40 +161,28 @@ def cmd_extract(args) -> int:
         required = tuple(n for n in STATIC_FIELDS if n in cfg.enabled_fields)
 
     def run_one(fn):
-        return extract_features(
-            fn,
-            client,
-            cfg=cfg,
-            policy=policy,
-            bank=bank,
-            max_output_tokens=args.max_output_tokens,
-            required_fields=required,
-        )
+        """The function's features, or the message of its failed extraction."""
+        try:
+            return extract_features(
+                fn,
+                client,
+                cfg=cfg,
+                policy=policy,
+                bank=bank,
+                max_output_tokens=args.max_output_tokens,
+                required_fields=required,
+            )[0]
+        except (ExtractionFailedError, FixtureMissError, ClientTransportError) as exc:
+            return str(exc)
 
-    results: dict = {}
-    failures: list[tuple[str, str]] = []
-    if args.parallel > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            futures = {pool.submit(run_one, fn): fn for fn in functions}
-            for fut in concurrent.futures.as_completed(futures):
-                fn = futures[fut]
-                try:
-                    results[fn.id] = fut.result()[0]
-                except (ExtractionFailedError, FixtureMissError, ClientTransportError) as exc:
-                    failures.append((fn.id, str(exc)))
-    else:
-        for fn in functions:
-            try:
-                results[fn.id] = run_one(fn)[0]
-            except (ExtractionFailedError, FixtureMissError, ClientTransportError) as exc:
-                failures.append((fn.id, str(exc)))
-
-    ordered = {fn.id: results[fn.id] for fn in functions if fn.id in results}
-    schema_mod.save_features(args.output, ordered)
+    outcomes = list(zip(functions, _ordered_map(run_one, functions, args.parallel)))
+    results = {fn.id: fs for fn, fs in outcomes if not isinstance(fs, str)}
+    failures = [(fn.id, message) for fn, message in outcomes if isinstance(message, str)]
+    schema_mod.save_features(args.output, results)
     for fid, message in failures:
         print(f"extraction failed for {fid}: {message}", file=sys.stderr)
     print(
-        f"extracted {len(ordered)}/{len(functions)} function(s)"
+        f"extracted {len(results)}/{len(functions)} function(s)"
         + (f", {len(failures)} failure(s)" if failures else ""),
         file=sys.stderr,
     )
@@ -247,23 +224,10 @@ def _read_queries(args) -> dict:
 def cmd_search(args) -> int:
     ix = InvertedIndex.load(args.index)
     queries = _read_queries(args)
-    out = _open_out(args.output)
-    try:
-        if args.parallel > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=args.parallel) as pool:
-                ranked = dict(
-                    zip(
-                        queries,
-                        pool.map(lambda ts: ix.search(ts, args.k), queries.values()),
-                    )
-                )
-        else:
-            ranked = {fid: ix.search(ts, args.k) for fid, ts in queries.items()}
-        for fid in queries:
-            _print_ranked(fid, ranked[fid], args.format, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _output(args.output) as out:
+        ranked = _ordered_map(lambda ts: ix.search(ts, args.k), queries.values(), args.parallel)
+        for fid, result in zip(queries, ranked):
+            _print_ranked(fid, result, args.format, out)
     return EXIT_OK
 
 
@@ -298,16 +262,12 @@ def cmd_rerank(args) -> int:
     ix = InvertedIndex.load(args.index)
     embeddings = load_embeddings(args.embeddings)
     queries = _read_queries(args)
-    out = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         for fid, tokens in queries.items():
             if fid not in embeddings:
                 raise MissingEmbeddingError(f"no embedding for query id {fid!r}")
             result = ix.prefilter_rerank(tokens, embeddings[fid], args.k1, args.k2, embeddings)
             _print_ranked(fid, result, args.format, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -319,15 +279,11 @@ def cmd_eval(args) -> int:
     features = dict(read_token_sets(args.features, _flatten_config(args)))
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     report = evaluate_pool(pool, features, embeddings=embeddings)
-    out = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         if args.format == "json":
             out.write(json.dumps(report.as_dict(), indent=2) + "\n")
         else:
             out.write(report.render_table() + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -454,11 +410,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         _fail(str(exc))
         return EXIT_CONFIG
-    except _INPUT_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-    except (AsmsieveError, ValueError) as exc:
-        # remaining library errors (dimension mismatches, bad JSON, ...)
+    except (AsmsieveError, ValueError, OSError) as exc:
+        # a typed input error, a value no check names (a dimension mismatch,
+        # ...) or a path that cannot be read or written
         _fail(str(exc))
         return EXIT_INPUT
 

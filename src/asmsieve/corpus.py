@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, ListingParseError
-from .schema import read_lines
+from .schema import read_json_lines, read_text
 
 ARCH_ALIASES = {
     "x86-64": "x86-64",
@@ -77,16 +77,21 @@ _HEADER = re.compile(r"^;\s*FUNCTION\s+(\S+)\s*$")
 _ADDRESS_PREFIX = re.compile(r"^([0-9a-fA-F]+):\s*(.*)$")
 
 
+def _located(path) -> Callable[[int, str], ListingParseError]:
+    return lambda line_no, message: ListingParseError(message, line_no, path)
+
+
 def function_id(library: str, source_symbol: str, arch: str, opt_level: str) -> str:
     return f"{library}/{source_symbol}@{arch}/{opt_level}"
 
 
-def parse_listing(text: str, *, library: str, arch: str, opt_level: str) -> list[AssemblyFunction]:
+def parse_listing(text: str, *, library: str, arch: str, opt_level: str,
+                  path=None) -> list[AssemblyFunction]:
     """Split a listing into function records, in file order.
 
-    Raises ListingParseError (with the offending line number) for a header
-    without a symbol, an instruction outside any block, or an empty block.
-    Empty input yields an empty list.
+    Raises ListingParseError (with the offending line number, and ``path``
+    when given) for a header without a symbol, an instruction outside any
+    block, or an empty block. Empty input yields an empty list.
     """
     if not library or not arch or not opt_level:
         raise ConfigurationError("library, arch and opt_level must be non-empty")
@@ -104,7 +109,7 @@ def parse_listing(text: str, *, library: str, arch: str, opt_level: str) -> list
         if symbol is None:
             return
         if not body:
-            raise ListingParseError(f"function block {symbol!r} has no instructions", header_line)
+            raise ListingParseError(f"function block {symbol!r} has no instructions", header_line, path)
         base = function_id(library, symbol, arch, opt_level)
         n = id_counts.get(base, 0) + 1
         id_counts[base] = n
@@ -130,17 +135,24 @@ def parse_listing(text: str, *, library: str, arch: str, opt_level: str) -> list
                 m = _HEADER.match(line)
                 if not m:
                     raise ListingParseError(
-                        "function header must be '; FUNCTION <symbol>'", line_no
+                        "function header must be '; FUNCTION <symbol>'", line_no, path
                     )
                 close_block()
                 symbol = m.group(1)
                 header_line = line_no
             continue
         if symbol is None:
-            raise ListingParseError("instruction outside any function block", line_no)
+            raise ListingParseError("instruction outside any function block", line_no, path)
         body.append(line)
     close_block()
     return records
+
+
+def read_listing(path, *, library: str, arch: str, opt_level: str) -> list[AssemblyFunction]:
+    """``parse_listing`` over a listing file. Every error names ``path:line``,
+    a line that is not UTF-8 included (``schema.read_text``)."""
+    text = read_text(path, _located(path))
+    return parse_listing(text, library=library, arch=arch, opt_level=opt_level, path=path)
 
 
 def instruction_body(line: str) -> tuple[int | None, str]:
@@ -260,31 +272,26 @@ _CORPUS_TEXT_KEYS = ("id", "library", "source_symbol", "arch", "opt_level")
 def load_corpus(path) -> list[AssemblyFunction]:
     out: list[AssemblyFunction] = []
     seen: set[str] = set()
-    for line_no, line in read_lines(path, lambda n, msg: ListingParseError(msg, n, path)):
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
-            raise ListingParseError(f"invalid corpus JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
-        if not isinstance(obj, dict):
-            raise ListingParseError("corpus record is not a JSON object", line_no)
+    error = _located(path)
+    for line_no, obj in read_json_lines(path, error):
         for key in _CORPUS_TEXT_KEYS:
             if not isinstance(obj.get(key), str):
-                raise ListingParseError(f"corpus record needs a string {key!r}", line_no)
+                raise error(line_no, f"corpus record needs a string {key!r}")
         instructions = obj.get("instructions")
         if not (isinstance(instructions, list) and all(isinstance(i, str) for i in instructions)):
-            raise ListingParseError("corpus record needs 'instructions' as a list of strings", line_no)
+            raise error(line_no, "corpus record needs 'instructions' as a list of strings")
         truncated = obj.get("truncated", False)
         if not isinstance(truncated, bool):
-            raise ListingParseError("corpus record needs 'truncated' as a boolean", line_no)
+            raise error(line_no, "corpus record needs 'truncated' as a boolean")
         fn = AssemblyFunction(
             instructions=tuple(instructions),
             truncated=truncated,
             **{key: obj[key] for key in _CORPUS_TEXT_KEYS},
         )
         if not fn.instructions:
-            raise ListingParseError(f"function {fn.id!r} has no instructions", line_no)
+            raise error(line_no, f"function {fn.id!r} has no instructions")
         if fn.id in seen:
-            raise ListingParseError(f"duplicate function id {fn.id!r}", line_no)
+            raise error(line_no, f"duplicate function id {fn.id!r}")
         seen.add(fn.id)
         out.append(fn)
     return out
@@ -304,18 +311,13 @@ def save_pairs(path, pairs: Iterable[FunctionPair]) -> None:
 
 def load_pairs(path) -> list[FunctionPair]:
     out: list[FunctionPair] = []
-    for line_no, line in read_lines(path, lambda n, msg: ListingParseError(msg, n, path)):
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
-            raise ListingParseError(f"invalid pairs JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
-        if not isinstance(obj, dict):
-            raise ListingParseError("pair record is not a JSON object", line_no)
+    error = _located(path)
+    for line_no, obj in read_json_lines(path, error):
         for side in ("left", "right"):
             if not isinstance(obj.get(side), str):
-                raise ListingParseError(f"pair record needs a string {side!r}", line_no)
+                raise error(line_no, f"pair record needs a string {side!r}")
         pairing = obj.get("pairing", "")
         if pairing not in PAIRING_KINDS:
-            raise ListingParseError(f"unknown pairing kind {pairing!r}", line_no)
+            raise error(line_no, f"unknown pairing kind {pairing!r}")
         out.append(FunctionPair(left=obj["left"], right=obj["right"], pairing=pairing))
     return out

@@ -23,6 +23,7 @@ import threading
 from pathlib import Path
 
 from .errors import ConfigurationError, FixtureMissError, SchemaError
+from .schema import read_json_file
 
 
 def prompt_sha256(system_text: str, user_text: str) -> str:
@@ -36,11 +37,8 @@ def prompt_sha256(system_text: str, user_text: str) -> str:
 def _read_fixture(path: Path) -> dict:
     """A fixture file's object, once its layout is checked: an object whose
     ``"attempts"`` list holds objects with an integer ``"attempt"``."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
-        raise SchemaError(f"fixture {path}: invalid JSON: {exc}") from exc
-    attempts = data.get("attempts") if isinstance(data, dict) else None
+    data = read_json_file(path, lambda message: SchemaError(f"fixture {path}: {message}"))
+    attempts = data.get("attempts")
     if not isinstance(attempts, list) or not all(
         isinstance(a, dict) and type(a.get("attempt")) is int for a in attempts
     ):

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .corpus import AssemblyFunction
-from .errors import ConfigurationError
-from .schema import FIELD_BY_NAME, FIELD_ORDER, SECTION_FIELDS, SECTIONS
+from .errors import ConfigurationError, SchemaError
+from .schema import FIELD_BY_NAME, FIELD_ORDER, SECTION_FIELDS, SECTIONS, read_json_file
 
 MAX_FEW_SHOT = 4
 
@@ -85,22 +85,14 @@ def load_system_preamble() -> str:
 
 def load_example_bank(path: str | Path | None = None) -> tuple[PromptExample, ...]:
     """Read the (assembly, document) example pairs shipped as assets, or from
-    a directory holding matching ``<stem>.asm`` / ``<stem>.json`` files."""
-    if path is None:
-        root = resources.files("asmsieve").joinpath("assets", "examples")
-        names = sorted(
-            entry.name for entry in root.iterdir() if entry.name.endswith(".asm")
-        )
-        read = lambda name: root.joinpath(name).read_text(encoding="utf-8")  # noqa: E731
-    else:
-        root = Path(path)
-        names = sorted(p.name for p in root.glob("*.asm"))
-        read = lambda name: (root / name).read_text(encoding="utf-8")  # noqa: E731
-
+    a directory holding matching ``<stem>.asm`` / ``<stem>.json`` files. A
+    ``.json`` file that is not a JSON object raises a SchemaError naming it."""
+    root = resources.files("asmsieve").joinpath("assets", "examples") if path is None else Path(path)
     bank = []
-    for name in names:
-        asm_text = read(name)
-        doc = json.loads(read(name[:-4] + ".json"))
+    for name in sorted(entry.name for entry in root.iterdir() if entry.name.endswith(".asm")):
+        asm_text = root.joinpath(name).read_text(encoding="utf-8")
+        doc_path = root.joinpath(name[:-4] + ".json")
+        doc = read_json_file(doc_path, lambda message: SchemaError(f"example bank {doc_path}: {message}"))
         arch = ""
         lines = []
         for line in asm_text.splitlines():

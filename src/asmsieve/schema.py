@@ -11,10 +11,14 @@ Each core field's rule lives in one validator, built once from ``FIELDS``
 by ``field_validators`` (a table by field name); ``validate`` dispatches
 through it, and so does the token reader in ``similarity``, which keeps
 its own memos around the same validators. ``check_complete`` holds
-the document-level rules (required fields, parameter count). Features files
-are read through one record reader, ``read_records``: it parses each JSON
-line, checks its ``id`` and ``present`` list, rejects an id repeated across
-the files, and prefixes every error with ``path:line: ``.
+the document-level rules (required fields, parameter count).
+
+Outside JSON is decoded in one place, ``json_object``: the features,
+embeddings, corpus and pairs readers go through ``read_json_lines`` and
+word every error ``path:line: ``; fixtures and the example bank go through
+``read_json_file``. Features files are read by ``read_records``, which
+checks each record's ``id`` and ``present`` list and rejects an id
+repeated across the files.
 
 Canonical form rules:
   * fields serialized in the fixed order of ``FIELD_ORDER``;
@@ -493,10 +497,10 @@ def diff(a: FeatureSet, b: FeatureSet) -> list[FieldDiff]:
 
 
 def read_lines(path, error: Callable[[int, str], Exception]) -> Iterator[tuple[int, str]]:
-    """``(line number, stripped line)`` for each non-blank line of a UTF-8
-    text file. A line that is not UTF-8 raises ``error(line number,
-    "not UTF-8: <codec message>")``: the file is decoded with
-    ``surrogateescape``, so a bad byte reaches its own line before it fails."""
+    """``(line number, line)`` for each line of a UTF-8 text file. A line
+    that is not UTF-8 raises ``error(line number, "not UTF-8: <codec
+    message>")``: the file is decoded with ``surrogateescape``, so a bad
+    byte reaches its own line before it fails."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.isascii():
@@ -504,24 +508,54 @@ def read_lines(path, error: Callable[[int, str], Exception]) -> Iterator[tuple[i
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise error(line_no, f"not UTF-8: {exc}") from exc
-            line = line.strip()
-            if line:
-                yield line_no, line
+            yield line_no, line
 
 
-def _record_lines(paths) -> Iterator[tuple[Any, int, str]]:
-    for path in paths:
-        for line_no, line in read_lines(path, lambda n, msg, path=path: SchemaError(f"{path}:{n}: {msg}")):
-            yield path, line_no, line
+def read_text(path, error: Callable[[int, str], Exception]) -> str:
+    """The text of a UTF-8 file, with the errors of ``read_lines``."""
+    return "".join(line for _, line in read_lines(path, error))
 
 
-def _parse_record(line: str) -> tuple[str, list[str] | None, Any]:
-    """The id, the ``present`` list (None when absent) and the raw features of one line."""
+def json_object(text: str, error: Callable[[str], Exception]) -> dict:
+    """The JSON object ``text`` holds, or ``error("invalid JSON: ...")`` for
+    text that is not JSON or that Python cannot hold (a too-long integer,
+    deep nesting), and ``error("not a JSON object")`` for any other value."""
     try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "id" not in obj or "features" not in obj:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise error("not a JSON object")
+    return obj
+
+
+def read_json_lines(path, error: Callable[[int, str], Exception]) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line of a JSON-lines
+    file; every failure raises ``error(line number, message)``."""
+    for line_no, line in read_lines(path, error):
+        line = line.strip()
+        if line:
+            yield line_no, json_object(line, partial(error, line_no))
+
+
+def read_json_file(path, error: Callable[[str], Exception]) -> dict:
+    """The JSON object of a whole UTF-8 file (a ``Path`` or a package
+    resource), or ``error(message)``."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8: {exc}") from exc
+    return json_object(text, error)
+
+
+def located(error_type: Callable[[str], Exception], path) -> Callable[[int, str], Exception]:
+    """A ``read_json_lines`` error worded ``error_type("path:line: message")``."""
+    return lambda line_no, message: error_type(f"{path}:{line_no}: {message}")
+
+
+def _parse_record(obj: dict) -> tuple[str, list[str] | None, Any]:
+    """The id, the ``present`` list (None when absent) and the raw features of one record."""
+    if "id" not in obj or "features" not in obj:
         raise SchemaError("expected keys 'id' and 'features'")
     fid, present = obj["id"], obj.get("present")
     if not isinstance(fid, str):
@@ -534,9 +568,10 @@ def _parse_record(line: str) -> tuple[str, list[str] | None, Any]:
 
 
 def _first_location(paths, fid: str) -> str:
-    for path, line_no, line in _record_lines(paths):
-        if _parse_record(line)[0] == fid:
-            return f"{path}:{line_no}"
+    for path in paths:
+        for line_no, obj in read_json_lines(path, located(SchemaError, path)):
+            if obj.get("id") == fid:
+                return f"{path}:{line_no}"
     return "an earlier line"  # the files changed while being read
 
 
@@ -550,18 +585,20 @@ def read_records(paths, convert: Callable[[Any, list[str] | None], Any],
     With ``only``, every line is still parsed and its id checked, but only
     the record with that id is converted and yielded."""
     seen: set[str] = set()
-    for path, line_no, line in _record_lines(paths):
-        try:
-            fid, present, doc = _parse_record(line)
-            if fid in seen:
-                raise SchemaError(f"duplicate id {fid!r} (first at {_first_location(paths, fid)})")
-            seen.add(fid)
-            if only is not None and fid != only:
-                continue
-            value = convert(doc, present)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}:{line_no}: {exc}") from exc
-        yield fid, value
+    for path in paths:
+        error = located(SchemaError, path)
+        for line_no, obj in read_json_lines(path, error):
+            try:
+                fid, present, doc = _parse_record(obj)
+                if fid in seen:
+                    raise SchemaError(f"duplicate id {fid!r} (first at {_first_location(paths, fid)})")
+                seen.add(fid)
+                if only is not None and fid != only:
+                    continue
+                value = convert(doc, present)
+            except SchemaError as exc:
+                raise error(line_no, str(exc)) from exc
+            yield fid, value
 
 
 def load_features(*paths) -> dict[str, FeatureSet]:

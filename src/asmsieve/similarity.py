@@ -38,7 +38,8 @@ from .schema import (
     _sorted_json,
     check_complete,
     field_validators,
-    read_lines,
+    located,
+    read_json_lines,
     read_records,
     required_set,
 )
@@ -207,7 +208,7 @@ def read_token_sets(paths, config: FlattenConfig | None = None,
     FeatureSet in between. Errors are those of ``schema.read_records``, and
     so is ``only``: the one id whose record is validated and yielded.
 
-    A line costs one ``json.loads``, the record checks and one step per
+    A line costs one JSON decode, the record checks and one step per
     field, memoized for the duration of the call: by value for the scalar
     fields, ``in_param_types`` and ``dominant_operation_categories``, and
     for ``int_consts`` and ``float_consts`` by a table from each string
@@ -227,7 +228,7 @@ def read_token_sets(paths, config: FlattenConfig | None = None,
             steps[name] = _memoized(lambda v, check=check, emit=emit[name]: emit(check(v)))
 
     def tokens(doc: Any, present: list[str] | None) -> frozenset[str]:
-        if not isinstance(doc, dict):  # json.loads makes no other Mapping
+        if not isinstance(doc, dict):  # decoded JSON holds no other Mapping
             raise SchemaError(f"feature document must be a JSON object, got {type(doc).__name__}")
         required = required_set(present)
         out: list[str] = []
@@ -363,23 +364,24 @@ class EmbeddingStore:
 
 
 def load_embeddings(path) -> EmbeddingStore:
-    """Read a JSON-lines embedding file: ``{"id": ..., "values": [...]}``."""
+    """Read a JSON-lines embedding file: ``{"id": ..., "values": [...]}``,
+    each id once. Every error is a SchemaError prefixed ``path:line: ``."""
     store = EmbeddingStore()
-    for line_no, line in read_lines(path, lambda n, msg: SchemaError(f"{path}:{n}: {msg}")):
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
-            raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, Mapping) or "id" not in obj or "values" not in obj:
-            raise SchemaError(f"{path}:{line_no}: expected keys 'id' and 'values'")
-        if not isinstance(obj["id"], str):
-            raise SchemaError(f"{path}:{line_no}: 'id' must be a string")
+    error = located(SchemaError, path)
+    for line_no, obj in read_json_lines(path, error):
+        if "id" not in obj or "values" not in obj:
+            raise error(line_no, "expected keys 'id' and 'values'")
+        fid = obj["id"]
+        if not isinstance(fid, str):
+            raise error(line_no, "'id' must be a string")
+        if fid in store:
+            raise error(line_no, f"duplicate id {fid!r}")
         if not isinstance(obj["values"], list):
-            raise SchemaError(f"{path}:{line_no}: 'values' must be a list of numbers")
+            raise error(line_no, "'values' must be a list of numbers")
         try:
-            store.add(obj["id"], obj["values"])
+            store.add(fid, obj["values"])
         except (TypeError, ValueError) as exc:  # an element that is not a number
-            raise SchemaError(f"{path}:{line_no}: {exc}") from exc
+            raise error(line_no, str(exc)) from exc
     return store
 
 

@@ -76,7 +76,25 @@ class TestIngest:
         rc = run(["ingest", str(bad), "--library", "lib", "--arch", "x86-64",
                   "--opt-level", "O0", "-o", str(tmp_path / "c.jsonl")])
         assert rc == 2
-        assert "line 1" in capsys.readouterr().err
+        assert f"{bad}:1: instruction outside any function block" in capsys.readouterr().err
+
+    def test_non_utf8_listing_names_file_and_line(self, listing, tmp_path, capsys):
+        bad = tmp_path / "bad.lst"
+        bad.write_bytes(b"; FUNCTION alpha\nmov eax, 1\nmov ebx, '\xff'\nret\n")
+        rc = run(["ingest", str(listing), str(bad), "--library", "lib", "--arch", "x86-64",
+                  "--opt-level", "O0", "-o", str(tmp_path / "c.jsonl")])
+        assert rc == 2
+        assert (f"{bad}:3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 10"
+                in capsys.readouterr().err)
+
+    def test_listing_error_names_the_second_listing(self, listing, tmp_path, capsys):
+        bad = tmp_path / "bad.lst"
+        bad.write_text("; FUNCTION alpha\nret\n; FUNCTION\nret\n")
+        rc = run(["ingest", str(listing), str(bad), "--library", "lib", "--arch", "x86-64",
+                  "--opt-level", "O0", "-o", str(tmp_path / "c.jsonl")])
+        assert rc == 2
+        assert (f"{bad}:3: function header must be '; FUNCTION <symbol>'"
+                in capsys.readouterr().err)
 
     def test_unknown_flag_exit_2(self, listing, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -143,6 +161,26 @@ class TestExtract:
         assert rc == 2
         assert str(fixtures) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["[" * 100_000, '"a string"', "[1, 2]"],
+                             ids=["deep-nesting", "string", "list"])
+    def test_malformed_example_bank_document_exits_2(self, listing, tmp_path, capsys, body):
+        corpus = self._corpus(listing, tmp_path)
+        bank = tmp_path / "bank"
+        shutil.copytree(Path(cli.__file__).parent / "assets" / "examples", bank)
+        bad = bank / "ex3_mips.json"
+        bad.write_text(body)
+        rc = run(["extract", "--corpus", str(corpus), "--client", "static",
+                  "--example-bank", str(bank), "-o", str(tmp_path / "f.jsonl")])
+        assert rc == 2
+        assert f"example bank {bad}: " in capsys.readouterr().err
+
+    def test_example_bank_that_is_a_file_exits_2(self, listing, tmp_path, capsys):
+        corpus = self._corpus(listing, tmp_path)
+        rc = run(["extract", "--corpus", str(corpus), "--client", "static",
+                  "--example-bank", str(listing), "-o", str(tmp_path / "f.jsonl")])
+        assert rc == 2
+        assert str(listing) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "record",
         [pytest.param("[1,2]", id="list"),
@@ -155,7 +193,7 @@ class TestExtract:
         rc = run(["extract", "--corpus", str(corpus), "--client", "static",
                   "-o", str(tmp_path / "f.jsonl")])
         assert rc == 2
-        assert "line 1" in capsys.readouterr().err
+        assert f"{corpus}:1: " in capsys.readouterr().err
 
     def test_mini_corpus_replay_identical_across_runs(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -322,8 +360,7 @@ def test_deeply_nested_line_exits_2_naming_it(reader, features_file, tmp_path, c
                        "--query", str(features_file)],
     }[reader]
     assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert "line 1" in err or f"{deep}:1:" in err
+    assert f"{deep}:1: invalid JSON: maximum recursion" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("reader", ["features", "pool", "corpus", "embeddings"])
@@ -386,6 +423,20 @@ class TestRerank:
         save_embeddings(emb, {"lib/sha384_init@ARM/O2": [1.0]})
         assert run(["rerank", "--index", str(snap), "--embeddings", str(emb),
                     "--query", str(features_file), "--k1", "1", "--k2", "5"]) == 4
+
+    def test_repeated_embedding_id_exit_2(self, features_file, tmp_path, capsys):
+        snap = tmp_path / "index.snap"
+        run(["index", "--features", str(features_file), "-o", str(snap)])
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"id":"lib/sha384_init@ARM/O2","values":[1.0,0.2]}\n'
+                       '{"id":"lib/sha384_init@x86-64/O2","values":[0.9,0.3]}\n'
+                       '{"id":"lib/sha384_init@ARM/O2","values":[0.1,0.9]}\n')
+        rc = run(["rerank", "--index", str(snap), "--embeddings", str(emb),
+                  "--query", str(features_file), "--k1", "2", "--k2", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{emb}:3: duplicate id 'lib/sha384_init@ARM/O2'" in captured.err
 
     @pytest.mark.parametrize("k2", ["0", "-1"])
     def test_k2_not_positive_exit_2(self, features_file, tmp_path, capsys, k2):
@@ -461,7 +512,7 @@ class TestEval:
         pool = tmp_path / "pool.jsonl"
         pool.write_text(record + "\n")
         assert run(["eval", "--pool", str(pool), "--features", str(features_file)]) == 2
-        assert "line 1" in capsys.readouterr().err
+        assert f"{pool}:1: " in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -258,17 +258,17 @@ class TestCorpusIO:
             ('{"right": "b", "pairing": "cross_optimization"}', "'left'"),
             ('{"left": 1, "right": "b", "pairing": "cross_optimization"}', "'left'"),
             ('{"left": "a", "right": null, "pairing": "cross_optimization"}', "'right'"),
-            ('{"left": "a", "right": "b"', "invalid pairs JSON"),
-            pytest.param('{"left": "a", "right": "b", "x": ' + "9" * 5000 + "}", "invalid pairs JSON",
+            ('{"left": "a", "right": "b"', "invalid JSON: Expecting"),
+            pytest.param('{"left": "a", "right": "b", "x": ' + "9" * 5000 + "}", "invalid JSON: Exceeds",
                          id="oversized-integer"),
-            pytest.param("[" * 100_000, "invalid pairs JSON", id="deep-nesting"),
+            pytest.param("[" * 100_000, "invalid JSON: maximum recursion", id="deep-nesting"),
         ],
     )
     def test_malformed_pair_record_names_line(self, tmp_path, record, message):
         path = tmp_path / "pairs.jsonl"
         good = '{"left": "a", "right": "b", "pairing": "cross_optimization"}'
         path.write_text(good + "\n\n" + record + "\n")
-        with pytest.raises(ListingParseError, match=message) as excinfo:
+        with pytest.raises(ListingParseError, match=f"^{re.escape(str(path))}:3: .*{message}") as excinfo:
             load_pairs(path)
         assert excinfo.value.line_number == 3
 
@@ -295,21 +295,22 @@ class TestCorpusIO:
         good = json.loads(corpus_line(make_fn("g")))
         path = tmp_path / "corpus.jsonl"
         path.write_text(corpus_line(make_fn()) + "\n" + json.dumps(change(good)) + "\n")
-        with pytest.raises(ListingParseError, match=message) as excinfo:
+        with pytest.raises(ListingParseError, match=f"^{re.escape(str(path))}:3: .*{message}") as excinfo:
             load_corpus(path)
         assert excinfo.value.line_number == 3
 
     def test_oversized_integer_in_corpus_names_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(corpus_line(make_fn()).rstrip("}\n") + ',"x":' + "9" * 5000 + "}\n")
-        with pytest.raises(ListingParseError, match="invalid corpus JSON") as excinfo:
+        with pytest.raises(ListingParseError, match=f"^{re.escape(str(path))}:1: invalid JSON: Exceeds") as excinfo:
             load_corpus(path)
         assert excinfo.value.line_number == 1
 
     def test_deep_nesting_in_corpus_names_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(corpus_line(make_fn()) + "[" * 100_000 + "\n")
-        with pytest.raises(ListingParseError, match="invalid corpus JSON") as excinfo:
+        with pytest.raises(ListingParseError,
+                           match=f"^{re.escape(str(path))}:2: invalid JSON: maximum recursion") as excinfo:
             load_corpus(path)
         assert excinfo.value.line_number == 2
 

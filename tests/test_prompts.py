@@ -1,9 +1,11 @@
 import json
+import re
+from importlib import resources
 
 import pytest
 
 from asmsieve.corpus import AssemblyFunction
-from asmsieve.errors import ConfigurationError
+from asmsieve.errors import ConfigurationError, SchemaError
 from asmsieve.prompts import (
     SECTIONS,
     PromptConfig,
@@ -18,6 +20,14 @@ from asmsieve.schema import FIELD_ORDER, SECTION_FIELDS, validate
 @pytest.fixture(scope="module")
 def bank():
     return load_example_bank()
+
+
+@pytest.fixture
+def bank_dir(tmp_path):
+    """A directory holding a copy of the shipped example bank."""
+    for entry in resources.files("asmsieve").joinpath("assets", "examples").iterdir():
+        (tmp_path / entry.name).write_bytes(entry.read_bytes())
+    return tmp_path
 
 
 @pytest.fixture
@@ -61,6 +71,26 @@ class TestExampleBank:
         for example in bank:
             fs = validate(example.document)
             assert fs.present_fields == FIELD_ORDER
+
+
+    def test_directory_copy_loads_equal(self, bank, bank_dir):
+        assert load_example_bank(bank_dir) == bank
+        assert load_example_bank(str(bank_dir)) == bank
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("[" * 100_000, "invalid JSON: maximum recursion"),
+            ('"a string"', "not a JSON object"),
+            ('{"loop": tru', "invalid JSON: Expecting value"),
+        ],
+        ids=["deep-nesting", "string", "truncated"],
+    )
+    def test_malformed_document_names_its_file(self, bank_dir, body, message):
+        bad = bank_dir / "ex2_arm.json"
+        bad.write_text(body)
+        with pytest.raises(SchemaError, match=f"^example bank {re.escape(str(bad))}: {message}"):
+            load_example_bank(bank_dir)
 
 
 class TestBuildPrompt:

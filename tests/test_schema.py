@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmsieve.errors import SchemaError
+from asmsieve.corpus import AssemblyFunction, corpus_line, load_corpus, load_pairs
+from asmsieve.errors import ListingParseError, SchemaError
 from asmsieve.schema import (
     FIELD_ORDER,
     FeatureSet,
@@ -18,7 +19,7 @@ from asmsieve.schema import (
     save_features,
     validate,
 )
-from asmsieve.similarity import read_token_sets
+from asmsieve.similarity import load_embeddings, read_token_sets
 from helpers import random_feature_set
 
 DATA = Path(__file__).parent / "data"
@@ -262,6 +263,36 @@ class TestFeaturesFile:
         path.write_bytes(good + b'{"id":"caf\xe9","features":{}}\n')
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:2: not UTF-8: "
                                               "'utf-8' codec can't decode byte 0xe9 in position 10"):
+            read(path)
+
+    @pytest.mark.parametrize(
+        "read, error, good",
+        [
+            (load_features, SchemaError, '{"id":"ok","features":{"loop":true},"present":["loop"]}'),
+            (load_embeddings, SchemaError, '{"id":"a","values":[1,2]}'),
+            (load_corpus, ListingParseError, corpus_line(AssemblyFunction(
+                id="lib/f@x86-64/O0", library="lib", source_symbol="f", arch="x86-64",
+                opt_level="O0", instructions=("ret",))).rstrip()),
+            (load_pairs, ListingParseError, '{"left":"a","right":"b","pairing":"cross_optimization"}'),
+        ],
+        ids=["features", "embeddings", "corpus", "pairs"],
+    )
+    @pytest.mark.parametrize(
+        "line, text",
+        [
+            (b"\xff", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0"),
+            (b'{"id": ', "invalid JSON: Expecting value: line 1 column 7 (char 6)"),
+            (b'{"x": ' + b"9" * 5000 + b"}", "invalid JSON: Exceeds the limit (4300 digits)"),
+            (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+            (b"[1]", "not a JSON object"),
+            (b'"a"', "not a JSON object"),
+        ],
+        ids=["non-utf8", "truncated", "oversized-integer", "deep-nesting", "list", "string"],
+    )
+    def test_json_lines_readers_share_one_decoder(self, tmp_path, read, error, good, line, text):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(good.encode() + b"\n" + line + b"\n")
+        with pytest.raises(error, match=f"^{re.escape(str(path))}:2: {re.escape(text)}"):
             read(path)
 
     def test_written_documents_are_canonical(self, tmp_path, variant_x86):

@@ -272,6 +272,12 @@ class TestEmbeddingStore:
         assert store.dim == 2 and len(store) == 2
         assert np.allclose(store["a"].values, [1.0, 2.0])
 
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id":"a","values":[1,2]}\n{"id":"b","values":[2,1]}\n{"id":"a","values":[3,4]}\n')
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:3: duplicate id 'a'$"):
+            load_embeddings(path)
+
     def test_dim_mismatch_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id":"a","values":[1,2]}\n{"id":"b","values":[1,2,3]}\n')
