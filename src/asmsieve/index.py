@@ -8,25 +8,45 @@ empty sets. The others score 0.0 and are appended in id order when needed to
 fill ``k``. Ties break by ascending function id, so results are identical no
 matter the insertion order.
 
-Ranking cost per query: one pass to accumulate overlaps, a linear-time
-selection of the k-th best score among the touched documents, and a sort of
-only the documents scoring above it (fewer than ``k``); the ties at the k-th
-score are taken in id order without sorting. On the mask path (below) nearly
-every document is touched, and a score depends only on the overlap
-``c <= |q|`` and the cardinality ``|d| < W``, where ``W`` is one more than
-the largest cardinality. So there, when ``(|q| + 1) * W <= n``, which keeps
-the bins no more than the documents, no float is made per document: one
-bincount of the keys ``c * W + |d|``, one score per non-empty bin by the
-same expression, the k-th score where the bins' counts summed in descending
-score order first reach ``k``, and one pass through a table of the bins at
-or above it to pick the documents. IEEE division is correctly rounded, so
-equal ratios from different bins (1/2 and 2/4) are equal floats, and ids,
-scores and tie order are those of per-document scores. Off the mask path the
-touched documents are a minority and are scored one by one, as they are when
-no more than ``k`` are touched. On the 100,000-document query-schema index
-(2-vCPU host, top 10) the histogram cut the ranking step from 1.0-1.3 ms to
-0.46-0.59 ms, and ``search_p50_ms`` fell from 1.58 to 0.97 ms (medians of 10
-paired benchmark runs, ``BENCH_rank.json``).
+Ranking cost per query: one pass accumulates the overlaps, then one of three
+rankers picks the top k, all by the same score expression and tie rule.
+
+- ``_rank_touched`` scores every touched document once, selects the k-th
+  best score in linear time, and sorts only the documents above it (fewer
+  than ``k``); the ties at the k-th score are taken in id order without
+  sorting. It serves the empty query and every query the other two decline.
+- ``_rank_by_cut``, off the mask path (below), scores only the documents
+  that can still reach the k-th score. There a query touches a minority of
+  the documents, but most of those share one token with it. Among the
+  documents of overlap two or more, the largest overlap ``t`` that ``k`` of
+  them reach bounds the k-th score from below by ``t / (|q| + dmax - t)``,
+  and an overlap ``c`` bounds a score from above by
+  ``c / (|q| + max(c, dmin) - c)``, where ``dmin`` and ``dmax`` are the
+  smallest and largest cardinalities; only the overlaps whose upper bound
+  reaches the lower one are scored (prefix and size filtering, Xiao et al.,
+  WWW 2008 and ICDE 2009). It declines, for ``_rank_touched``, when fewer
+  than ``k`` documents have overlap two or more, or when overlap one could
+  still reach the bound. On the benchmark's seed-11 query-uniform inputs
+  (100,000 documents; per query about 20,000 touched, 2,100 of them with
+  overlap two or more; 2-vCPU host) the ranking step fell from 0.44 to
+  0.25 ms at k = 10 and from 0.49 to 0.29 ms at k = 100 (medians of 9
+  alternating passes over the 100 queries).
+- ``_rank_by_histogram``, on the mask path, where nearly every document is
+  touched and nearly all have overlap two or more. A score depends only on
+  the overlap ``c <= |q|`` and the cardinality ``|d| < W``, where ``W`` is
+  one more than the largest cardinality. So when ``(|q| + 1) * W <= n``,
+  which keeps the bins no more than the documents, no float is made per
+  document: one bincount of the keys ``c * W + |d|``, one score per
+  non-empty bin by the same expression, the k-th score where the bins'
+  counts summed in descending score order first reach ``k``, and one pass
+  through a table of the bins at or above it to pick the documents. On the
+  100,000-document query-schema index (2-vCPU host, top 10) it cut the
+  ranking step from 1.0-1.3 ms to 0.46-0.59 ms. The overlap cut took
+  1.9-2.4 ms there, against 0.5-0.8 ms for the histogram (k = 10 and 100).
+
+IEEE division is correctly rounded, so it is monotone, and equal ratios from
+different bins (1/2 and 2/4) are equal floats: the bounds order as the exact
+ones do, and ids, scores and tie order are those of per-document scores.
 
 Overlaps are accumulated one of two ways, chosen per query by cost. Each
 search view keeps a dense-token mask: the 64 tokens with the longest posting
@@ -106,6 +126,7 @@ SNAPSHOT_MAGIC = b"ASMSIEVE1"
 SNAPSHOT_VERSION = 3
 _META_KEYS = ("n_docs", "n_tokens", "nnz")
 _MASK_BITS = 64  # dense tokens: one uint64 word per document
+_CUT_FLOOR = 2  # the overlap cut never scores the overlap-1 bulk of the touched documents
 
 
 @dataclass(frozen=True)
@@ -128,7 +149,7 @@ class _Finalized:
     """Immutable search view: ids sorted, vocabulary sorted, postings in CSR,
     tokens per document, and the dense-token mask once a search asks for it."""
 
-    __slots__ = ("ids", "token_ids", "offsets", "flat", "cards", "width", "_dense")
+    __slots__ = ("ids", "token_ids", "offsets", "flat", "cards", "width", "dmin", "_dense")
 
     def __init__(self, ids, token_ids, offsets, flat, cards):
         self.ids: list[str] = ids
@@ -139,6 +160,7 @@ class _Finalized:
         # Every cardinality is below it, so overlap * width + cardinality
         # keys the (overlap, cardinality) pairs one to one.
         self.width: int = int(cards.max()) + 1 if len(cards) else 1
+        self.dmin: int = int(cards.min()) if len(cards) else 0  # width - 1 is the largest
         self._dense: tuple[dict[int, int], np.ndarray] | None = None
 
     def doc(self, fid: str) -> int | None:
@@ -183,29 +205,68 @@ def _dense_mask(offsets: np.ndarray, flat: np.ndarray, n_docs: int) -> tuple[dic
 def _rank_touched(counts: np.ndarray, cards: np.ndarray, qlen: int, k: int):
     """The top ``k`` as (docs above the k-th score, sorted; their scores; the
     k-th score; the docs at it in doc order), from one float score per
-    touched document. Only documents scoring above the k-th best score are
-    sorted. The ties at that score follow in ascending doc number, which is
-    the tie-break order already; when k or fewer documents are touched, the
-    "ties" are the unscored documents at score 0.0."""
+    touched document. When k or fewer documents are touched, the "ties" are
+    the unscored documents at score 0.0.
+
+    Search asks the cheaper rankers first: ``_rank_by_cut`` off the mask
+    path, ``_rank_by_histogram`` on it when ``(|q| + 1) * W <= n``. This one
+    ranks the empty query, the mask-path queries past that size rule, and
+    every query either of the others declines."""
     # The scored documents: those sharing a token with the query, or for
     # the empty query the empty documents, which score 1.0 as in jaccard.
     hit = counts != 0 if qlen else cards == 0
     touched = np.flatnonzero(hit)
-    inter = counts[touched]
-    scores = inter / (qlen + cards[touched] - inter) if qlen else np.ones(len(touched))
-    if len(touched) > k:
+    docs, scores, kth, ties = _rank_scored(touched, counts, cards, qlen, k)
+    if len(touched) <= k:
+        ties = np.flatnonzero(~hit)
+    return docs, scores, kth, ties
+
+
+def _rank_scored(docs: np.ndarray, counts: np.ndarray, cards: np.ndarray, qlen: int, k: int):
+    """``_rank_touched``'s answer among ``docs`` (ascending), one float score
+    each. Only documents scoring above the k-th best score are sorted; the
+    ties at that score follow in ascending doc number, which is the
+    tie-break order already. With k or fewer docs, all of them rank above a
+    k-th score of 0.0 and there are no ties."""
+    inter = counts[docs]
+    scores = inter / (qlen + cards[docs] - inter) if qlen else np.ones(len(docs))
+    kth = 0.0
+    if len(docs) > k:
         # The k-th largest score, taken as the k-th smallest of the negated
         # scores: numpy's introselect ran ten times slower selecting near
         # the back of an array with few distinct values, as when most
         # touched documents share one to three tokens with the query.
         kth = float(-np.partition(-scores, k - 1)[k - 1])
-        ties = touched[scores == kth]
-    else:
-        kth = 0.0
-        ties = np.flatnonzero(~hit)
     above = np.flatnonzero(scores > kth)
     above = above[np.lexsort((above, -scores[above]))]
-    return touched[above], scores[above], kth, ties
+    return docs[above], scores[above], kth, docs[scores == kth]
+
+
+def _rank_by_cut(counts: np.ndarray, cards: np.ndarray, dmin: int, dmax: int, qlen: int, k: int):
+    """``_rank_touched``'s answer, scoring only the documents that can still
+    reach the k-th score, or None when fewer than k documents have overlap
+    ``_CUT_FLOOR`` or more (as for the empty query) or when the cut would
+    keep documents of lower overlap.
+
+    Among the documents of overlap at least ``_CUT_FLOOR``, let ``t`` be the
+    largest overlap that k of them reach: each of those k scores at least
+    ``t / (|q| + dmax - t)``, a lower bound on the k-th score. A document of
+    overlap ``c`` scores at most ``c / (|q| + max(c, dmin) - c)``, which
+    rises with ``c``, so only overlaps from the first that reaches the
+    bound can be in the top k or tied at the k-th score. Correctly rounded
+    division is monotone, so the float bounds order as the exact ones do."""
+    docs = np.flatnonzero(counts >= _CUT_FLOOR)
+    if len(docs) < k:
+        return None
+    overlap = counts[docs]
+    # reach[c]: how many of them have overlap c or more
+    reach = np.cumsum(np.bincount(overlap, minlength=qlen + 1)[::-1])[::-1]
+    t = int(np.flatnonzero(reach >= k)[-1])
+    c = np.arange(qlen + 1)
+    cut = int(np.argmax(c / (qlen + np.maximum(c, dmin) - c) >= t / (qlen + dmax - t)))
+    if cut < _CUT_FLOOR:
+        return None
+    return _rank_scored(docs[overlap >= cut], counts, cards, qlen, k)
 
 
 def _rank_by_histogram(counts: np.ndarray, cards: np.ndarray, width: int, qlen: int, k: int):
@@ -436,7 +497,9 @@ class InvertedIndex:
             counts = _kernels.accumulate_counts(fin.flat, starts, ends, n)
         k_eff = min(k, n)
         ranked = None
-        if is_mask and (qlen + 1) * fin.width <= n:
+        if not is_mask:
+            ranked = _rank_by_cut(counts, fin.cards, fin.dmin, fin.width - 1, qlen, k_eff)
+        elif (qlen + 1) * fin.width <= n:
             ranked = _rank_by_histogram(counts, fin.cards, fin.width, qlen, k_eff)
         docs, scores, kth, ties = ranked or _rank_touched(counts, fin.cards, qlen, k_eff)
         entries = [(fin.ids[doc], score) for doc, score in zip(docs.tolist(), scores.tolist())]

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping
 
 from .corpus import AssemblyFunction
 from .errors import ConfigurationError, SchemaError
-from .schema import FIELD_BY_NAME, FIELD_ORDER, SECTION_FIELDS, SECTIONS, read_json_file
+from .schema import FIELD_BY_NAME, FIELD_ORDER, SECTION_FIELDS, SECTIONS, read_json_file, validate
 
 MAX_FEW_SHOT = 4
 
@@ -86,13 +86,24 @@ def load_system_preamble() -> str:
 def load_example_bank(path: str | Path | None = None) -> tuple[PromptExample, ...]:
     """Read the (assembly, document) example pairs shipped as assets, or from
     a directory holding matching ``<stem>.asm`` / ``<stem>.json`` files. A
-    ``.json`` file that is not a JSON object raises a SchemaError naming it."""
+    file that is not UTF-8, a ``.json`` that is not a JSON object, and in a
+    directory a document that fails ``schema.validate`` raise a SchemaError
+    naming the file. A document is kept as read, not as validated. The
+    shipped documents are not validated here, on every call; a test does."""
     root = resources.files("asmsieve").joinpath("assets", "examples") if path is None else Path(path)
     bank = []
     for name in sorted(entry.name for entry in root.iterdir() if entry.name.endswith(".asm")):
-        asm_text = root.joinpath(name).read_text(encoding="utf-8")
-        doc_path = root.joinpath(name[:-4] + ".json")
+        asm_path, doc_path = root.joinpath(name), root.joinpath(name[:-4] + ".json")
+        try:
+            asm_text = asm_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"example bank {asm_path}: not UTF-8: {exc}") from exc
         doc = read_json_file(doc_path, lambda message: SchemaError(f"example bank {doc_path}: {message}"))
+        if path is not None:
+            try:
+                validate(doc)
+            except SchemaError as exc:
+                raise SchemaError(f"example bank {doc_path}: {exc}") from exc
         arch = ""
         lines = []
         for line in asm_text.splitlines():

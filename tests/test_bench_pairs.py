@@ -75,6 +75,40 @@ def test_claim_and_pair_counts(summary):
     assert block["summary"]["setup_s"]["change_lost"] == 0
 
 
+@pytest.mark.parametrize("metric, factor", [("search_p50_ms", 0.8), ("extract_fn_per_s", 1.25)])
+def test_claim_survives_a_host_slowdown_between_pairs(tmp_path, metric, factor):
+    # The host runs twice as slow from pair 6 on; every pair is 20 % better
+    # for the change. The spread across pairs dwarfs the gain, the ratios do not.
+    runs = tmp_path / "RUNS.jsonl"
+    records = []
+    for seed in range(1, 11):
+        slow = 2.0 if seed > 5 else 1.0
+        for side in ("parent", "change"):
+            rec = _record("w", seed, side)
+            value = 10.0 * (slow if metric.endswith("_ms") else 1 / slow)
+            rec["result"]["metrics"][metric]["value"] = value * (factor if side == "change" else 1.0)
+            records.append(rec)
+    runs.write_text("".join(json.dumps(r) + "\n" for r in records))
+    claim = bench_pairs.summarize(runs, "abc", f"w:{metric}", [])["workloads"]["w"]["claim"]
+    assert claim["change_won"] == 10 and claim["median_gain"] < claim["parent_iqr"]
+    assert claim["worse_pair_ratio"] == pytest.approx(factor)
+    assert claim["met"]
+
+
+def test_claim_not_met_below_nine_wins_in_ten(tmp_path):
+    # Eight wins in ten pairs fall short of nine, however large the wins.
+    runs = tmp_path / "RUNS.jsonl"
+    records = []
+    for seed, factor in enumerate([0.5] * 8 + [1.01] * 2, 1):
+        for side in ("parent", "change"):
+            rec = _record("w", seed, side)
+            rec["result"]["metrics"]["search_p50_ms"]["value"] = 10.0 * (factor if side == "change" else 1.0)
+            records.append(rec)
+    runs.write_text("".join(json.dumps(r) + "\n" for r in records))
+    claim = bench_pairs.summarize(runs, "abc", "w:search_p50_ms", [])["workloads"]["w"]["claim"]
+    assert claim["change_won"] == 8 and not claim["met"]
+
+
 def test_traced_runs_are_kept_apart(summary):
     assert [(t["seed"], t["side"]) for t in summary["traced"]["w"]] == [(11, "parent"), (11, "change")]
     assert summary["notes"] == ["note"] and summary["parent_commit"] == "abc"

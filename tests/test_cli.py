@@ -174,6 +174,21 @@ class TestExtract:
         assert rc == 2
         assert f"example bank {bad}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, body", [("ex1_x86_64.asm", b"; arch: x86-64\n\xff\n"),
+                                            ("ex3_mips.json", b'{"loop": 5}')],
+                             ids=["asm-not-utf8", "invalid-document"])
+    def test_bad_example_bank_file_exits_2_naming_it(self, listing, tmp_path, capsys, name, body):
+        corpus = self._corpus(listing, tmp_path)
+        bank = tmp_path / "bank"
+        shutil.copytree(Path(cli.__file__).parent / "assets" / "examples", bank)
+        bad = bank / name
+        bad.write_bytes(body)
+        rc = run(["extract", "--corpus", str(corpus), "--client", "static",
+                  "--example-bank", str(bank), "-o", str(tmp_path / "f.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"example bank {bad}: " in err and "Traceback" not in err
+
     def test_example_bank_that_is_a_file_exits_2(self, listing, tmp_path, capsys):
         corpus = self._corpus(listing, tmp_path)
         rc = run(["extract", "--corpus", str(corpus), "--client", "static",

@@ -575,6 +575,106 @@ class TestHistogramRanking:
             assert calls == expected
 
 
+@st.composite
+def cut_corpus(draw):
+    """Documents against a query of 2-5 tokens, every one of which the
+    posting lists rank: ``|q|`` documents or more per document holding a
+    query token, so the query's lists hold no more postings than there are
+    documents. The first "near" document is the query itself, the others
+    hold drawn parts of it; every document adds up to ``|q|² - |q| - 1`` of
+    eight background tokens, so cardinalities mix and some documents are
+    empty. The largest cardinality stays below ``|q|²``, so at k = 1 the
+    query's own document lifts the cut above overlap 1, and the documents
+    without a query token make it decline at k = n. Ids are shuffled across
+    near and far, with a split point as in ``tie_heavy_corpus``."""
+    qlen = draw(st.integers(2, 5))
+    query = frozenset(f"q{i}" for i in range(qlen))
+    background = st.frozensets(st.sampled_from([f"b{i}" for i in range(8)]),
+                               max_size=min(8, qlen * qlen - qlen - 1))
+    parts = st.frozensets(st.sampled_from(sorted(query)), min_size=1)
+    n_near = draw(st.integers(1, 8))
+    near = [query] + [draw(parts) | draw(background) for _ in range(n_near - 1)]
+    far = [draw(background) for _ in range((qlen - 1) * n_near + draw(st.integers(0, 5)))]
+    ids = draw(st.permutations([f"d{i:02d}" for i in range(len(near) + len(far))]))
+    docs = dict(zip(ids, near + far))
+    return docs, ids, query, draw(st.integers(1, len(docs)))
+
+
+@contextmanager
+def cut_spy():
+    """Record each call of the overlap cut as (k, whether it ranked)."""
+    calls, rank = [], index_module._rank_by_cut
+
+    def spy(counts, cards, dmin, dmax, qlen, k):
+        ranked = rank(counts, cards, dmin, dmax, qlen, k)
+        calls.append((k, ranked is not None))
+        return ranked
+
+    index_module._rank_by_cut = spy
+    try:
+        yield calls
+    finally:
+        index_module._rank_by_cut = rank
+
+
+class TestOverlapCut:
+    """Off the mask path, search scores only the documents whose overlap
+    can still reach the k-th score; the entries stay those of the
+    exhaustive scan, tie order included."""
+
+    _assert_every_k = staticmethod(TestHistogramRanking._assert_every_k)
+    _loaded_then_added = staticmethod(TestTieHeavyExactness._loaded_then_added)
+
+    @given(cut_corpus())
+    @settings(max_examples=40, deadline=None)
+    def test_fresh_loaded_and_updated_match_exhaustive_scan(self, corpus):
+        docs, order, query, split = corpus
+        with tempfile.TemporaryDirectory() as tmp:
+            for ix in (build_index({fid: docs[fid] for fid in order}),
+                       self._loaded_then_added(tmp, docs, order, []),
+                       self._loaded_then_added(tmp, docs, order[:split], order[split:])):
+                with cut_spy() as calls:
+                    self._assert_every_k(ix, docs, query)
+                # Every k ran through the cut, which ranked at k = 1 and
+                # declined at k = n.
+                assert [k for k, _ in calls] == [min(k, len(docs)) for k in range(1, len(docs) + 3)]
+                assert calls[0] == (1, True) and calls[-1] == (len(docs), False)
+
+    def test_equal_scores_from_different_overlaps_tie_by_id(self):
+        # Against {t0..t3}: "all" scores 1.0, a 3/6 and b 2/4, twelve
+        # documents of overlap 1 score 1/5 and eight share no token; the
+        # query's lists hold 21 postings for 23 documents, so no mask. dmin =
+        # 2 and dmax = 5: for k = 1 to 3 the bound 4/5, 3/6 or 2/7 cuts off
+        # overlap 1, and from k = 4 too few documents have overlap 2 or more.
+        docs = {"all": frozenset({"t0", "t1", "t2", "t3"}), "a": frozenset({"t0", "t1", "t2", "x", "y"}),
+                "b": frozenset({"t0", "t1"}), **{f"f{i:02d}": frozenset({"t3", f"z{i}"}) for i in range(12)},
+                **{f"g{i}": frozenset({f"u{i}", f"w{i}"}) for i in range(8)}}
+        query = frozenset({"t0", "t1", "t2", "t3"})
+        ix = build_index(docs)
+        with cut_spy() as calls:
+            for k in range(1, len(docs) + 3):
+                assert list(ix.search(query, k).entries) == exhaustive_search(docs, query, k)
+        assert calls == [(1, True), (2, True), (3, True)] + [(k, False) for k in range(4, 24)] + [(23, False)] * 2
+        assert ix.search(query, 3).entries == (("all", 1.0), ("a", 0.5), ("b", 0.5))
+
+    def test_never_on_the_mask_path(self):
+        docs, vocab = light_documents(random.Random(7), 200, 70)
+        n, width = len(docs), max(map(len, docs.values())) + 1
+        ix = build_index(docs)
+        fin = ix._ensure_finalized()
+        dense = frozenset(vocab[:3])
+        light = frozenset([t for t in vocab if t in fin.token_ids][-4:])
+        past = dense | {f"absent{i}" for i in range(n // width)}
+        assert (len(past) + 1) * width > n
+        for query, histogram, cut in ((dense, [(width, 3, True)], False), (past, [], False),
+                                      (light, [], True)):
+            with cut_spy() as cuts, histogram_spy() as histograms:
+                assert list(ix.search(query, 5).entries) == exhaustive_search(docs, query, 5)
+            # The histogram's own spy still sees it on the mask path.
+            assert histograms == histogram
+            assert bool(cuts) == cut
+
+
 class TestPrefilterRerank:
     def _setup(self, rng, n=5, dim=2):
         vocab = [f"tok{i}" for i in range(20)]

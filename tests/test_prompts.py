@@ -92,6 +92,35 @@ class TestExampleBank:
         with pytest.raises(SchemaError, match=f"^example bank {re.escape(str(bad))}: {message}"):
             load_example_bank(bank_dir)
 
+    def test_assembly_not_utf8_names_its_file(self, bank_dir):
+        bad = bank_dir / "ex1_x86_64.asm"
+        bad.write_bytes(b"; arch: x86-64\n\xff\n")
+        with pytest.raises(SchemaError, match=f"^example bank {re.escape(str(bad))}: not UTF-8: "):
+            load_example_bank(bank_dir)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({"loop": 5}, "field 'loop' must be a boolean, got 5"),
+         ({"loop": True}, "missing"),
+         ({"int_consts": ["0x1"]}, "trivial constant 0x1")],
+        ids=["wrong-type", "incomplete", "trivial-constant"],
+    )
+    def test_invalid_document_names_its_file(self, bank_dir, doc, message):
+        bad = bank_dir / "ex3_mips.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^example bank {re.escape(str(bad))}: .*{message}"):
+            load_example_bank(bank_dir)
+
+    def test_valid_document_is_kept_as_read(self, bank, bank_dir):
+        # Validation would fold "0X1234" to "0x1234" and set the extension
+        # aside; the prompt shows the document as the file holds it.
+        path = bank_dir / "ex2_arm.json"
+        doc = {**json.loads(path.read_text()), "int_consts": ["0X1234"], "note": "kept"}
+        path.write_text(json.dumps(doc))
+        loaded = load_example_bank(bank_dir)
+        assert loaded[1].document == doc
+        assert loaded[0] == bank[0] and loaded[2] == bank[2]
+
 
 class TestBuildPrompt:
     def test_requested_example_count(self, fn, bank):
