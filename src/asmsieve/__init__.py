@@ -26,7 +26,6 @@ from .schema import FeatureSet, canonicalize, diff, validate
 from .similarity import (
     EmbeddingStore,
     EmbeddingVector,
-    FlattenConfig,
     TokenSet,
     cosine,
     flatten,
@@ -47,7 +46,6 @@ __all__ = [
     "EvalReport",
     "FeatureSet",
     "FixtureStore",
-    "FlattenConfig",
     "FunctionPair",
     "InvertedIndex",
     "PromptConfig",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input error, 3 some functions failed extraction,
 4 configuration error. A ``--config FILE`` of ``key = value`` lines (keys are
-long option names with underscores) supplies defaults; explicit flags win.
+long option names with underscores) supplies defaults, each checked as its
+flag would be; explicit flags win.
 Secrets come from the environment (ASMSIEVE_LLM_URL, ASMSIEVE_LLM_KEY).
 """
 
@@ -32,7 +33,7 @@ from .fixtures import FixtureStore, RecordingClient, ReplayClient
 from .index import InvertedIndex
 from .prompts import SECTIONS, PromptConfig, load_example_bank
 # flatten is no longer called here; kept because the benchmark tracer wraps cli.flatten by name
-from .similarity import FlattenConfig, flatten, load_embeddings, read_token_sets  # noqa: F401
+from .similarity import flatten, load_embeddings, read_token_sets  # noqa: F401
 from .static_analysis import STATIC_FIELDS
 
 EXIT_OK = 0
@@ -71,18 +72,41 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _flatten_config(args) -> FlattenConfig:
-    return FlattenConfig(
-        bucket_counts=getattr(args, "bucket_counts", False),
-        atomic_arrays=getattr(args, "atomic_arrays", False),
-    )
+def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
+    """The config values that name a flag of ``parser`` that is not required,
+    each checked as that flag on the command line would be: a non-string
+    value is read as its JSON text, and argparse's own conversion applies
+    the flag's ``type`` and ``choices``. A ``store_true`` flag takes only a
+    JSON boolean. A bad value exits 2 through ``parser.error``, naming the
+    option; other keys are ignored."""
+    out = {}
+    for action in parser._actions:
+        if action.dest not in config or action.required or action.default is argparse.SUPPRESS:
+            continue
+        value = config[action.dest]
+        if action.nargs == 0:
+            if type(value) is not bool:
+                parser.error(f"argument {'/'.join(action.option_strings)}: "
+                             f"config value must be true or false, got {value!r}")
+        else:
+            try:
+                value = parser._get_value(action, value if isinstance(value, str) else json.dumps(value))
+                parser._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                parser.error(str(exc))
+        out[action.dest] = value
+    return out
 
 
-def _add_flatten_flags(sp) -> None:
-    sp.add_argument("--bucket-counts", action="store_true",
-                    help="log-bucket the count fields when flattening")
-    sp.add_argument("--atomic-arrays", action="store_true",
-                    help="flatten each array field to one token instead of per element")
+def _parallel(text: str) -> int:
+    """``--parallel``'s type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 @contextlib.contextmanager
@@ -193,7 +217,7 @@ def cmd_extract(args) -> int:
 
 def cmd_index(args) -> int:
     ix = InvertedIndex()
-    for fid, tokens in read_token_sets(args.features, _flatten_config(args)):
+    for fid, tokens in read_token_sets(args.features):
         ix.add(fid, tokens)
     ix.persist(args.output)
     print(f"indexed {len(ix)} document(s) -> {args.output}", file=sys.stderr)
@@ -215,7 +239,7 @@ def _read_queries(args) -> dict:
     """The query token sets by id; with ``--id``, that query alone. Every
     record is parsed and its id checked, but only the selected one is
     validated and tokenized."""
-    queries = dict(read_token_sets(args.query, _flatten_config(args), args.id))
+    queries = dict(read_token_sets(args.query, args.id))
     if args.id is not None and not queries:
         raise MissingFeatureError(f"no features for id {args.id!r}")
     return queries
@@ -276,7 +300,7 @@ def cmd_rerank(args) -> int:
 def cmd_eval(args) -> int:
     pairs = corpus_mod.load_pairs(args.pool)
     pool = EvalPool(pairs=tuple(pairs), scorer=args.scorer)
-    features = dict(read_token_sets(args.features, _flatten_config(args)))
+    features = dict(read_token_sets(args.features))
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     report = evaluate_pool(pool, features, embeddings=embeddings)
     with _output(args.output) as out:
@@ -332,14 +356,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--base-temperature", type=float, default=0.2)
     sp.add_argument("--temperature-step", type=float, default=0.2)
     sp.add_argument("--max-output-tokens", type=int, default=DEFAULT_MAX_OUTPUT_TOKENS)
-    sp.add_argument("--parallel", type=int, default=1, help="in-flight extractions")
+    sp.add_argument("--parallel", type=_parallel, default=1, help="in-flight extractions")
     sp.add_argument("-o", "--output", required=True, help="features file to write")
     sp.set_defaults(func=cmd_extract)
 
     sp = sub.add_parser("index", help="build an index snapshot from features")
     sp.add_argument("--features", action="append", required=True,
                     help="features file (repeatable)")
-    _add_flatten_flags(sp)
     sp.add_argument("-o", "--output", required=True, help="snapshot file to write")
     sp.set_defaults(func=cmd_index)
 
@@ -349,8 +372,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     help="features file with query documents (repeatable)")
     sp.add_argument("--id", help=_ID_HELP)
     sp.add_argument("-k", type=int, default=10)
-    sp.add_argument("--parallel", type=int, default=1)
-    _add_flatten_flags(sp)
+    sp.add_argument("--parallel", type=_parallel, default=1)
     sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.add_argument("-o", "--output", default="-")
     sp.set_defaults(func=cmd_search)
@@ -369,7 +391,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--id", help=_ID_HELP)
     sp.add_argument("--k1", type=int, default=100, help="pre-filter depth (default 100)")
     sp.add_argument("--k2", type=int, default=10, help="results to keep (default 10)")
-    _add_flatten_flags(sp)
     sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.add_argument("-o", "--output", default="-")
     sp.set_defaults(func=cmd_rerank)
@@ -379,7 +400,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--features", action="append", required=True)
     sp.add_argument("--embeddings", help="embedding JSONL (hybrid/cosine scorers)")
     sp.add_argument("--scorer", choices=SCORERS, default="jaccard")
-    _add_flatten_flags(sp)
     sp.add_argument("--format", choices=("table", "json"), default="json")
     sp.add_argument("-o", "--output", default="-")
     sp.set_defaults(func=cmd_eval)
@@ -397,14 +417,9 @@ def main(argv=None) -> int:
         except (OSError, ConfigurationError) as exc:
             _fail(str(exc))
             return EXIT_CONFIG
-        # The subcommand's options are the keys parsing set, less the top-level
-        # ones and the handler that set_defaults stores; other keys are ignored.
-        options = vars(args).keys() - {"config", "command", "func"}
-        commands[args.command].set_defaults(**{k: v for k, v in defaults.items() if k in options})
+        command = commands[args.command]
+        command.set_defaults(**_config_defaults(command, defaults))
         args = parser.parse_args(argv)
-    # checked here rather than by an argparse type, which a config default skips
-    if getattr(args, "parallel", 1) < 1:
-        commands[args.command].error(f"argument --parallel: must be at least 1, got {args.parallel}")
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -11,7 +11,7 @@ looks responses up by (prompt hash, temperature) and never falls back to a
 live client: an unseen key raises FixtureMissError. Reading and recording
 both check a fixture file's layout first, and a malformed file raises a
 SchemaError naming it (recording leaves it unchanged). Reads are lock-free;
-writes are serialized and atomic.
+writes are serialized, and each replaces its file in one ``os.replace``.
 """
 
 from __future__ import annotations

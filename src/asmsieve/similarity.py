@@ -7,14 +7,13 @@ Flattening turns a feature document into a set of text tokens:
     ``dominant_operation_categories``): ``field~element``
   * positional arrays (``in_param_types``, extension arrays): ``field~i:element``
     so that argument order still matters under set semantics
-  * extension scalars/objects: ``name=<compact JSON>``
+  * extension scalars/objects and empty extension arrays: ``name=<compact JSON>``
 
 Two valid full documents flatten to equal token sets exactly when their
-canonical texts are equal. Optional log-bucketing coarsens the four count
-fields for robustness experiments; it is off by default.
+canonical texts are equal.
 
 Each core field's token rule lives in one emitter, built once from
-``schema.FIELDS`` for each ``FlattenConfig`` (a table by field name).
+``schema.FIELDS`` (a table by field name).
 ``flatten`` applies it to a validated ``FeatureSet``; ``read_token_sets``
 goes from a features-file line to its token set in one pass, calling each
 field's validator and then its emitter, with no ``FeatureSet`` in between.
@@ -44,21 +43,9 @@ from .schema import (
     required_set,
 )
 
-BUCKETED_FIELDS = ("in_param_cnt", "imm_values_cnt", "subcall_targets", "interrupts_syscalls")
-
 _POSITIONAL_ARRAYS = {"in_param_types"}
 # the constants arrays, memoized by entry (see read_token_sets), not as whole arrays
 _CONSTANTS = {"int_consts", "float_consts"}
-
-
-@dataclass(frozen=True)
-class FlattenConfig:
-    """Knobs for token generation. ``bucket_counts`` swaps exact count tokens
-    for log buckets; ``atomic_arrays`` emits one token per array instead of
-    one per element."""
-
-    bucket_counts: bool = False
-    atomic_arrays: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,65 +64,42 @@ class HybridScore:
     S: float
 
 
-def count_bucket(n: int) -> str:
-    """Log bucket label: 0, 1, 2, 3-4, 5-8, 9-16, ..."""
-    if n < 0:
-        raise ValueError(f"count must be >= 0, got {n}")
-    if n <= 2:
-        return str(n)
-    low = 2
-    while low * 2 < n:
-        low *= 2
-    return f"{low + 1}-{low * 2}"
-
-
 def _extension_value(value: Any) -> str:
     return json.dumps(_sorted_json(value), separators=(",", ":"))
 
 
-def _extension_tokens(key: str, value: Any, atomic_arrays: bool) -> Iterable[str]:
-    if isinstance(value, list) and not atomic_arrays:
+def _extension_tokens(key: str, value: Any) -> Iterable[str]:
+    # an empty list is the one token ``key=[]``, apart from an absent key
+    if isinstance(value, list) and value:
         return [f"{key}~{i}:{_extension_value(v)}" for i, v in enumerate(value)]
     return (f"{key}={_extension_value(value)}",)
 
 
-def _field_emitter(spec: FieldSpec, cfg: FlattenConfig) -> Callable[[Any], tuple[str, ...]]:
+def _field_emitter(spec: FieldSpec) -> Callable[[Any], tuple[str, ...]]:
     name = spec.name
     if spec.kind in ARRAY_KINDS:
-        if cfg.atomic_arrays:
-            return lambda v: (f"{name}={json.dumps(list(v), separators=(',', ':'))}",)
         if name in _POSITIONAL_ARRAYS:
             return lambda v: tuple(f"{name}~{i}:{x}" for i, x in enumerate(v))
         return lambda v: tuple(f"{name}~{x}" for x in v)
-    if cfg.bucket_counts and name in BUCKETED_FIELDS:
-        return lambda v: (f"{name}=bucket:{count_bucket(v)}",)
     if spec.kind == "bool":
         return lambda v: (f"{name}={'true' if v else 'false'}",)
     return lambda v: (f"{name}={v}",)
 
 
-# (bucket_counts, atomic_arrays) -> the token emitter of each core field, by
-# name: it takes the validated value and returns the field's tokens.
-_EMITTERS: dict[tuple[bool, bool], dict[str, Callable[[Any], tuple[str, ...]]]] = {
-    (b, a): {spec.name: _field_emitter(spec, FlattenConfig(b, a)) for spec in FIELDS}
-    for b in (False, True)
-    for a in (False, True)
+# the token emitter of each core field, by name: it takes the validated value
+# and returns the field's tokens
+_EMITTERS: dict[str, Callable[[Any], tuple[str, ...]]] = {
+    spec.name: _field_emitter(spec) for spec in FIELDS
 }
 
 
-def _emitters(cfg: FlattenConfig) -> dict[str, Callable[[Any], tuple[str, ...]]]:
-    return _EMITTERS[bool(cfg.bucket_counts), bool(cfg.atomic_arrays)]
-
-
-def flatten(fs: FeatureSet, config: FlattenConfig | None = None, source: str = "") -> TokenSet:
+def flatten(fs: FeatureSet, source: str = "") -> TokenSet:
     """Flatten a feature document into its field-value token set."""
-    cfg = config or FlattenConfig()
-    emit = _emitters(cfg)
     tokens: set[str] = set()
     for name, value in fs.fields.items():
-        tokens.update(emit[name](value))
+        tokens.update(_EMITTERS[name](value))
     for key, value in fs.extensions.items():
-        tokens.update(_extension_tokens(key, value, cfg.atomic_arrays))
+        tokens.update(_extension_tokens(key, value))
     return TokenSet(tokens=frozenset(tokens), source=source)
 
 
@@ -162,26 +126,24 @@ def _memoized(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
 
 
 def _constants_step(name: str, check: Callable[[Any], tuple[str, ...]],
-                    emit: Callable[[Any], tuple[str, ...]], atomic: bool) -> Callable[[Any], Any]:
+                    emit: Callable[[Any], tuple[str, ...]]) -> Callable[[Any], Any]:
     """The token step of ``int_consts`` or ``float_consts``: ``emit(check(v))``,
-    served from a table of the string entries seen so far. Each entry maps to
-    its token, or under ``atomic`` to its normalized text, so an array whose
-    entries are all in the table costs one C-level ``map``. On a miss (an
-    entry not in the table, or an unhashable one) the array is walked entry
-    by entry: a string in the table gives its token, and any other entry is
-    validated alone, raising the error ``check`` raises at the array's first
-    invalid entry; a string entry is then recorded. The table holds only
-    ``str`` keys, so ``True``, ``1`` and ``1.0`` never meet a string's entry.
-    A value that is no list, or an ``int_consts`` array of more than
-    ``MAX_INT_CONSTS`` distinct entries, goes to ``check`` for its error.
-    Without ``atomic`` the tokens come unsorted and possibly repeated, for
-    the caller's frozenset."""
+    served from a table from each string entry seen so far to its token, so
+    an array whose entries are all in the table costs one C-level ``map``.
+    On a miss (an entry not in the table, or an unhashable one) the array is
+    walked entry by entry: a string in the table gives its token, and any
+    other entry is validated alone, raising the error ``check`` raises at
+    the array's first invalid entry; a string entry is then recorded. The
+    table holds only ``str`` keys, so ``True``, ``1`` and ``1.0`` never meet
+    a string's entry. A value that is no list, or an ``int_consts`` array of
+    more than ``MAX_INT_CONSTS`` distinct entries, goes to ``check`` for its
+    error. The tokens come unsorted and possibly repeated, for the caller's
+    frozenset."""
     table: dict[str, str] = {}
     limit = MAX_INT_CONSTS if name == "int_consts" else None
 
     def entry(x: Any) -> str:
-        text = check([x])
-        out = text[0] if atomic else emit(text)[0]
+        out = emit(check([x]))[0]
         if type(x) is str:
             table[x] = out
         return out
@@ -193,16 +155,15 @@ def _constants_step(name: str, check: Callable[[Any], tuple[str, ...]],
             except (KeyError, TypeError):
                 items = [table[x] if type(x) is str and x in table else entry(x) for x in value]
             if limit is None or len(items) <= limit or len(set(items)) <= limit:
-                return emit(tuple(sorted(set(items)))) if atomic else items
+                return items
         return emit(check(value))
 
     return step
 
 
-def read_token_sets(paths, config: FlattenConfig | None = None,
-                    only: str | None = None) -> Iterator[tuple[str, frozenset[str]]]:
+def read_token_sets(paths, only: str | None = None) -> Iterator[tuple[str, frozenset[str]]]:
     """Yield ``(id, tokens)`` for each record of the features files, with
-    ``tokens == flatten(validate(features, present), config).tokens``: each
+    ``tokens == flatten(validate(features, present)).tokens``: each
     field is validated and turned into tokens in one pass over the document,
     through ``schema.field_validators`` and this module's emitters, with no
     FeatureSet in between. Errors are those of ``schema.read_records``, and
@@ -218,14 +179,12 @@ def read_token_sets(paths, config: FlattenConfig | None = None,
     (100,000 lines of 30 ``float_consts`` from 4,000 distinct values, 99.5 %
     of arrays fully seen; 2-vCPU host) the reader took 2.5 s where
     one memoized call, a sort and a format per entry took 4.9 s."""
-    cfg = config or FlattenConfig()
-    emit = _emitters(cfg)
     steps: dict[str, Callable[[Any], Iterable[str]]] = {}
     for name, check in field_validators().items():
         if name in _CONSTANTS:
-            steps[name] = _constants_step(name, check, emit[name], cfg.atomic_arrays)
+            steps[name] = _constants_step(name, check, _EMITTERS[name])
         else:
-            steps[name] = _memoized(lambda v, check=check, emit=emit[name]: emit(check(v)))
+            steps[name] = _memoized(lambda v, check=check, emit=_EMITTERS[name]: emit(check(v)))
 
     def tokens(doc: Any, present: list[str] | None) -> frozenset[str]:
         if not isinstance(doc, dict):  # decoded JSON holds no other Mapping
@@ -234,7 +193,7 @@ def read_token_sets(paths, config: FlattenConfig | None = None,
         out: list[str] = []
         for name, value in doc.items():
             step = steps.get(name)
-            out.extend(step(value) if step else _extension_tokens(name, value, cfg.atomic_arrays))
+            out.extend(step(value) if step else _extension_tokens(name, value))
         check_complete(doc, required)
         return frozenset(out)
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import shutil
 import struct
@@ -12,7 +13,8 @@ from asmsieve.schema import validate, save_features
 from asmsieve.similarity import save_embeddings
 from helpers import seal_snapshot, snapshot_sections
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 MINI = DATA / "mini"
 
 GOOD_LISTING = """\
@@ -574,13 +576,40 @@ class TestConfigFile:
                     "--library", "l", "--arch", "a", "--opt-level", "O0"]) == 4
         assert str(cfg) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,line,message", [
+        ("search", "k = [3]", "argument -k: invalid int value: '[3]'"),
+        ("search", "k = 2.5", "argument -k: invalid int value: '2.5'"),
+        ("search", "parallel = [2]", "argument --parallel: invalid int value: '[2]'"),
+        ("extract", 'client = "replai"', "argument --client: invalid choice: 'replai'"),
+        ("extract", 'no_system_prompt = "no"',
+         "argument --no-system-prompt: config value must be true or false, got 'no'"),
+    ], ids=["k-list", "k-float", "parallel-list", "client-choice", "store-true-string"])
+    def test_bad_value_exit_2_names_option(self, command, line, message, features_file,
+                                           tmp_path, capsys):
+        cfg = tmp_path / "asmsieve.conf"
+        cfg.write_text(line + "\n")
+        if command == "search":
+            argv = ["search", "--index", str(tmp_path / "index.snap"), "--query", str(features_file)]
+        else:
+            argv = ["extract", "--corpus", str(tmp_path / "corpus.jsonl"), "-o", str(tmp_path / "f.jsonl")]
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", str(cfg)] + argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_console_script_help(self):
-        exe = shutil.which("asmsieve")
-        if exe is None:
-            pytest.skip("console script not on PATH")
-        proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+        module, _, attr = scripts["asmsieve"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is cli.main
+        # what the installed console script runs: import the entry point, exit with its result
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; from {module} import {attr}; sys.exit({attr}())",
+             "--help"],
+            capture_output=True, text=True,
+        )
         assert proc.returncode == 0
         assert "ingest" in proc.stdout and "rerank" in proc.stdout
 

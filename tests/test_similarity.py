@@ -14,11 +14,9 @@ from asmsieve.errors import SchemaError
 from asmsieve.schema import FIELD_BY_NAME, FIELD_ORDER, canonicalize, validate
 from asmsieve.similarity import (
     EmbeddingVector,
-    FlattenConfig,
     TokenSet,
     cosine,
     cosines,
-    count_bucket,
     flatten,
     hybrid,
     jaccard,
@@ -26,7 +24,7 @@ from asmsieve.similarity import (
     read_token_sets,
     save_embeddings,
 )
-from helpers import SELF_OVER_ONE, random_feature_set
+from helpers import SELF_OVER_ONE
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,29 +62,13 @@ class TestFlatten:
         assert 'origin="model-a"' in tokens
         assert 'tags~0:"crypto"' in tokens and 'tags~1:"init"' in tokens
 
-    def test_bucketing_replaces_exact_counts(self, sample_fs):
-        exact = flatten(sample_fs).tokens
-        bucketed = flatten(sample_fs, FlattenConfig(bucket_counts=True)).tokens
-        assert "imm_values_cnt=3" in exact
-        assert "imm_values_cnt=bucket:3-4" in bucketed
-        assert "imm_values_cnt=3" not in bucketed
-
-    def test_atomic_arrays(self, sample_fs):
-        tokens = flatten(sample_fs, FlattenConfig(atomic_arrays=True)).tokens
-        assert 'int_consts=["0x39","0x4"]' in tokens
+    def test_empty_extension_array_is_one_token(self, sample_fs):
+        base = json.loads((DATA / "sha384_init_x86_64.json").read_text())
+        tokens = flatten(validate(dict(base, tags=[]))).tokens
+        assert tokens == flatten(sample_fs).tokens | {"tags=[]"}
 
     def test_source_recorded(self, sample_fs):
         assert flatten(sample_fs, source="abc").source == "abc"
-
-
-class TestCountBucket:
-    @pytest.mark.parametrize(
-        "n,label",
-        [(0, "0"), (1, "1"), (2, "2"), (3, "3-4"), (4, "3-4"), (5, "5-8"),
-         (8, "5-8"), (9, "9-16"), (16, "9-16"), (17, "17-32")],
-    )
-    def test_labels(self, n, label):
-        assert count_bucket(n) == label
 
 
 class TestJaccard:
@@ -126,33 +108,26 @@ class TestJaccard:
             assert 0.0 <= s <= 1.0
             assert (s == 1.0) == (a == b)
 
-    def test_flatten_jaccard_one_iff_canonical_equal(self):
-        rng = random.Random(99)
-        sets = [random_feature_set(rng) for _ in range(30)]
-        for a in sets[:12]:
-            for b in sets[:12]:
-                equal_score = jaccard(flatten(a), flatten(b)) == 1.0
-                assert equal_score == (canonicalize(a) == canonicalize(b))
-
-    def test_bucketing_never_decreases_similarity_within_bucket(self):
-        rng = random.Random(42)
-        for _ in range(100):
-            fs = random_feature_set(rng)
-            n = fs["imm_values_cnt"]
-            bucket = count_bucket(n)
-            for delta in (-1, 1, 2):
-                m = n + delta
-                if m < 0 or count_bucket(m) != bucket:
-                    continue
-                doc = json.loads(canonicalize(fs))
-                doc["imm_values_cnt"] = m
-                other = validate(doc)
-                exact = jaccard(flatten(fs), flatten(other))
-                coarse = jaccard(
-                    flatten(fs, FlattenConfig(bucket_counts=True)),
-                    flatten(other, FlattenConfig(bucket_counts=True)),
-                )
-                assert coarse >= exact
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_flatten_jaccard_one_iff_canonical_equal(self, data):
+        # a full document against its canonical respelling, keys reordered,
+        # or against that respelling with one extension set, dropped or emptied
+        doc, _ = data.draw(raw_documents(partial=False))
+        other = json.loads(canonicalize(validate(doc)))
+        change = data.draw(st.sampled_from(("respell", "set", "drop", "empty")))
+        key = data.draw(st.sampled_from(_EXTENSION_KEYS))
+        if change == "set":
+            other[key] = data.draw(_json_values)
+        elif change == "drop":
+            other.pop(key, None)
+        elif change == "empty":
+            other[key] = []
+        other = dict(data.draw(st.permutations(list(other.items()))))
+        a, b = validate(doc), validate(other)
+        if change == "respell":
+            assert canonicalize(a) == canonicalize(b)
+        assert (jaccard(flatten(a), flatten(b)) == 1.0) == (canonicalize(a) == canonicalize(b))
 
 
 class TestCosine:
@@ -338,8 +313,6 @@ class TestEmbeddingStore:
 
 # ------------------------------------------------------------ read_token_sets
 
-FLATTEN_CONFIGS = [FlattenConfig(b, a) for b in (False, True) for a in (False, True)]
-
 _BOOL_SPELLINGS = (True, False, "True", "false", "TRUE", " False ")
 _PARAM_SPELLINGS = ("Integer", "int", "INT", "Pointer", "ptr", "Ptr", "POINTER")
 _RET_SPELLINGS = ("Integer", "int", "Pointer", "ptr", "Float", "None", "void", "null", None)
@@ -381,9 +354,10 @@ def _hex_spelling(draw):
 
 
 @st.composite
-def raw_documents(draw):
+def raw_documents(draw, partial=True):
     """(features, present) of a valid document in raw input spellings, keys
-    in any order, possibly partial, possibly with nested extensions."""
+    in any order, possibly with nested extensions, and under ``partial``
+    possibly partial."""
     cnt = draw(st.integers(0, 4))
     doc = {
         "in_param_cnt": cnt,
@@ -407,7 +381,7 @@ def raw_documents(draw):
         doc[name] = draw(st.sampled_from(_BOOL_SPELLINGS))
     doc.update(draw(st.dictionaries(st.sampled_from(_EXTENSION_KEYS), _json_values, max_size=2)))
     present = None
-    if draw(st.booleans()):  # a partial document
+    if partial and draw(st.booleans()):  # a partial document
         kept = draw(st.lists(st.sampled_from(FIELD_ORDER), unique=True))
         doc = {k: v for k, v in doc.items() if k in kept or k not in FIELD_ORDER}
         present = draw(st.lists(st.sampled_from(kept), unique=True)) if kept else []
@@ -446,29 +420,26 @@ def _write_records(path, docs) -> list[tuple[str, object, list | None]]:
 
 
 def _assert_reader_matches_validate_then_flatten(path, docs):
-    """read_token_sets over the file gives flatten(validate(...)) of each line
-    under every FlattenConfig, or, at the first invalid line, validate's
-    SchemaError text after the ``path:line: `` prefix. Returns what the
-    default config gives for the lines before the first error."""
+    """read_token_sets over the file gives flatten(validate(...)) of each line,
+    or, at the first invalid line, validate's SchemaError text after the
+    ``path:line: `` prefix. Returns what it gives for the lines before the
+    first error."""
     records = _write_records(path, docs)
-    results = {}
-    for cfg in FLATTEN_CONFIGS:
-        expected, error = [], None
-        for line_no, (fid, doc, present) in enumerate(records, 1):
-            try:
-                expected.append((fid, flatten(validate(doc, present), cfg).tokens))
-            except SchemaError as exc:
-                error = f"{path}:{line_no}: {exc}"
-                break
-        got, got_error = [], None
+    expected, error = [], None
+    for line_no, (fid, doc, present) in enumerate(records, 1):
         try:
-            got.extend(read_token_sets([path], cfg))
+            expected.append((fid, flatten(validate(doc, present)).tokens))
         except SchemaError as exc:
-            got_error = str(exc)
-        assert got == expected, cfg
-        assert got_error == error, cfg
-        results[cfg] = expected
-    return results[FlattenConfig()]
+            error = f"{path}:{line_no}: {exc}"
+            break
+    got, got_error = [], None
+    try:
+        got.extend(read_token_sets([path]))
+    except SchemaError as exc:
+        got_error = str(exc)
+    assert got == expected
+    assert got_error == error
+    return expected
 
 
 class TestReadTokenSets:
