@@ -19,14 +19,13 @@ from .corpus import (
 from .errors import AsmsieveError
 from .evaluation import EvalPool, EvalReport, ablation_grid, evaluate_pool, grid_cells, sample_pool
 from .extraction import ClientTranscript, RetryPolicy, extract_features
-from .fixtures import FixtureStore, ReplayClient, record_fixture
+from .fixtures import FixtureStore, ReplayClient
 from .index import InvertedIndex, SearchResult
 from .prompts import PromptConfig, build_prompt, load_example_bank
 from .schema import FeatureSet, canonicalize, diff, validate
 from .similarity import (
     EmbeddingStore,
     EmbeddingVector,
-    TokenSet,
     cosine,
     flatten,
     hybrid,
@@ -52,7 +51,6 @@ __all__ = [
     "ReplayClient",
     "RetryPolicy",
     "SearchResult",
-    "TokenSet",
     "ablation_grid",
     "build_pairs",
     "build_prompt",
@@ -69,7 +67,6 @@ __all__ = [
     "load_corpus",
     "load_example_bank",
     "parse_listing",
-    "record_fixture",
     "sample_pool",
     "save_corpus",
     "static_extract",

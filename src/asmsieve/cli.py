@@ -178,7 +178,7 @@ def cmd_extract(args) -> int:
         base_temperature=args.base_temperature,
         temperature_step=args.temperature_step,
     )
-    bank = load_example_bank(args.example_bank) if args.example_bank else None
+    bank = load_example_bank(args.example_bank or None)
     client = _make_client(args)
     required = None
     if args.client == "static":
@@ -248,8 +248,8 @@ def _read_queries(args) -> dict:
 def cmd_search(args) -> int:
     ix = InvertedIndex.load(args.index)
     queries = _read_queries(args)
+    ranked = _ordered_map(lambda ts: ix.search(ts, args.k), queries.values(), args.parallel)
     with _output(args.output) as out:
-        ranked = _ordered_map(lambda ts: ix.search(ts, args.k), queries.values(), args.parallel)
         for fid, result in zip(queries, ranked):
             _print_ranked(fid, result, args.format, out)
     return EXIT_OK
@@ -286,11 +286,13 @@ def cmd_rerank(args) -> int:
     ix = InvertedIndex.load(args.index)
     embeddings = load_embeddings(args.embeddings)
     queries = _read_queries(args)
+    ranked = []
+    for fid, tokens in queries.items():
+        if fid not in embeddings:
+            raise MissingEmbeddingError(f"no embedding for query id {fid!r}")
+        ranked.append(ix.prefilter_rerank(tokens, embeddings[fid], args.k1, args.k2, embeddings))
     with _output(args.output) as out:
-        for fid, tokens in queries.items():
-            if fid not in embeddings:
-                raise MissingEmbeddingError(f"no embedding for query id {fid!r}")
-            result = ix.prefilter_rerank(tokens, embeddings[fid], args.k1, args.k2, embeddings)
+        for fid, result in zip(queries, ranked):
             _print_ranked(fid, result, args.format, out)
     return EXIT_OK
 

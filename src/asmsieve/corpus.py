@@ -60,10 +60,6 @@ class AssemblyFunction:
     instructions: tuple[str, ...]
     truncated: bool = False
 
-    @property
-    def meta_key(self) -> tuple[str, str, str, str]:
-        return (self.library, self.source_symbol, self.arch, self.opt_level)
-
 
 @dataclass(frozen=True)
 class FunctionPair:

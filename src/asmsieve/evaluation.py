@@ -7,17 +7,17 @@ better, is reported alongside as a conservative bound.
 
 Cost: each pair's left side is scored against the pool's right ids, sorted,
 as one row (``_score_row``): one ``jaccard`` call per right side for
-``jaccard`` and ``hybrid``, and one ``similarity.cosines`` batch for
-``hybrid`` and ``cosine``. Both ranks then come from numpy comparisons of the
-row with its true-match element: the optimistic rank counts the better
-scores and the ties at a smaller position, the pessimistic rank the better
-scores and every other tie. A pool of P pairs thus costs P² ``jaccard``
-calls, P batches of P x d and P rank steps of O(P). In process, on pools of
-30-token documents from a 4,000-token vocabulary and 64-dimensional
-embeddings (2-vCPU host, numpy 2.4), ``jaccard`` took 0.20 s at P = 400 and
-1.27 s at P = 1,000, and ``hybrid`` 0.26 s and 1.58 s, where a scalar score
-per pair took 0.54, 3.57, 1.12 and 7.30 s; the rank step is under 2 % of
-either.
+``jaccard`` and ``hybrid``, one ``similarity.cosines`` batch for ``cosine``
+and one ``similarity.hybrids`` batch for ``hybrid``. Both ranks then come
+from numpy comparisons of the row with its true-match element: the
+optimistic rank counts the better scores and the ties at a smaller
+position, the pessimistic rank the better scores and every other tie. A
+pool of P pairs thus costs P² ``jaccard`` calls, P batches of P x d and P
+rank steps of O(P). In process, on pools of 30-token documents from a
+4,000-token vocabulary and 64-dimensional embeddings (2-vCPU host, numpy
+2.4), ``jaccard`` took 0.20 s at P = 400 and 1.27 s at P = 1,000, and
+``hybrid`` 0.26 s and 1.58 s, where a scalar score per pair took 0.54,
+3.57, 1.12 and 7.30 s; the rank step is under 2 % of either.
 """
 
 from __future__ import annotations
@@ -38,17 +38,11 @@ from .errors import (
 )
 from .extraction import RetryPolicy, extract_features
 from .fixtures import FixtureStore, ReplayClient
-from .prompts import SECTIONS, PromptConfig, PromptExample
-from .similarity import (
-    EmbeddingStore,
-    EmbeddingVector,
-    TokenSet,
-    cosine,
-    cosines,
-    flatten,
-    hybrid,
-    jaccard,
-)
+from .prompts import SECTIONS, PromptConfig, PromptExample, load_example_bank
+from .similarity import EmbeddingStore, EmbeddingVector, cosines, flatten, hybrids, jaccard
+# cosine and hybrid are no longer called here; kept because the benchmark
+# tracer wraps evaluation.cosine and evaluation.hybrid by name
+from .similarity import cosine, hybrid  # noqa: F401
 
 SCORERS = ("jaccard", "hybrid", "cosine")
 
@@ -116,38 +110,27 @@ class EvalReport:
 
 def _score_row(
     scorer: str,
-    tokens: TokenSet | Iterable[str],
-    right_tokens: Sequence[TokenSet | Iterable[str]],
+    tokens: Iterable[str],
+    right_tokens: Sequence[Iterable[str]],
     vector: EmbeddingVector | None,
     right_vectors: Sequence[EmbeddingVector],
 ) -> np.ndarray:
     """One left side's scores against every right side, in the rights'
     order: bit for bit the scalar ``jaccard``, ``cosine`` or
-    ``hybrid(jaccard, cosine).S`` of each pair. ``cosines`` raises the
-    scalar loop's first error; a hybrid score out of range replays the scalar
-    composition in row order, as ``InvertedIndex.prefilter_rerank`` does, so
-    the first error and its text are the scalar loop's. ``jaccard``,
-    ``cosine`` and ``hybrid`` are called through this module's names, which
-    the benchmark's tracer wraps."""
+    ``hybrid(jaccard, cosine).S`` of each pair, with the scalar loop's first
+    error (``cosines`` and ``hybrids`` keep both). ``jaccard`` is called
+    through this module's name, which the benchmark's tracer wraps."""
     if scorer == "cosine":
         return cosines(vector, right_vectors)
     s_a = np.array([jaccard(tokens, right) for right in right_tokens])
     if scorer == "jaccard":
         return s_a
-    try:
-        s_e = cosines(vector, right_vectors)
-        in_range = ((0.0 <= s_a) & (s_a <= 1.0) & (-1.0 <= s_e) & (s_e <= 1.0)).all()
-    except (TypeError, ValueError):
-        in_range = False
-    if not in_range:
-        for s, right in zip(s_a.tolist(), right_vectors):
-            hybrid(s, cosine(vector, right))
-    return (s_e + s_a) / 2
+    return hybrids(s_a, vector, right_vectors)
 
 
 def evaluate_pool(
     pool: EvalPool,
-    features: Mapping[str, TokenSet | Iterable[str]],
+    features: Mapping[str, Iterable[str]],
     embeddings: EmbeddingStore | None = None,
     config_echo: Mapping | None = None,
 ) -> EvalReport:
@@ -287,11 +270,11 @@ def ablation_grid(
     if absent:
         raise MissingFeatureError("no function records for id(s): " + ", ".join(absent))
     client = ReplayClient(store)
-    bank = tuple(bank) if bank is not None else None
+    bank = tuple(bank) if bank is not None else load_example_bank()
 
     rows: list[tuple[str, str, EvalReport]] = []
     for cell in cells:
-        features: dict[str, TokenSet] = {}
+        features: dict[str, frozenset[str]] = {}
         for fid in needed:
             try:
                 fs, _ = extract_features(
@@ -299,7 +282,7 @@ def ablation_grid(
                 )
             except FixtureMissError as exc:
                 raise FixtureMissError(f"[cell {cell.label}] {exc}") from exc
-            features[fid] = flatten(fs, source=fid)
+            features[fid] = flatten(fs)
         for i, pool in enumerate(pools):
             pool_name = pool.name or f"pool{i}"
             report = evaluate_pool(

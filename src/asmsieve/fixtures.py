@@ -130,12 +130,3 @@ class RecordingClient:
             self._attempt_counts[key] = attempt + 1
         self.store.put(key, temperature, attempt, response)
         return response
-
-
-def record_fixture(transcript, store: FixtureStore) -> str:
-    """Persist every attempt of a transcript; returns the fixture id (prompt hash)."""
-    for i, attempt in enumerate(transcript.attempts):
-        if attempt.response is None:
-            continue
-        store.put(transcript.prompt_hash, attempt.temperature, i, attempt.response)
-    return transcript.prompt_hash

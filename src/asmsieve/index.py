@@ -112,15 +112,10 @@ from .errors import (
     MissingEmbeddingError,
     SnapshotError,
 )
-from .similarity import (
-    EmbeddingStore,
-    EmbeddingVector,
-    TokenSet,
-    _as_token_frozenset,
-    cosine,
-    cosines,
-    hybrid,
-)
+from .similarity import EmbeddingStore, EmbeddingVector, hybrids
+# cosine and hybrid are no longer called here; kept because the benchmark
+# tracer wraps index.cosine and index.hybrid by name
+from .similarity import cosine, hybrid  # noqa: F401
 
 SNAPSHOT_MAGIC = b"ASMSIEVE1"
 SNAPSHOT_VERSION = 3
@@ -437,11 +432,11 @@ class InvertedIndex:
     def __contains__(self, fid: str) -> bool:
         return fid in self._new or self._view.doc(fid) is not None
 
-    def add(self, fid: str, tokens: TokenSet | Iterable[str]) -> None:
+    def add(self, fid: str, tokens: Iterable[str]) -> None:
         """Register a document by its token set."""
         if fid in self:
             raise DuplicateIdError(f"function id {fid!r} is already indexed")
-        tokset = _as_token_frozenset(tokens)
+        tokset = frozenset(tokens)
         self._tok.extend(map(self._vocab.__getitem__, tokset))
         self._lens.append(len(tokset))
         self._new[fid] = None
@@ -471,14 +466,14 @@ class InvertedIndex:
             self._reset_buffer()
             return self._view
 
-    def search(self, query: TokenSet | Iterable[str], k: int) -> SearchResult:
+    def search(self, query: Iterable[str], k: int) -> SearchResult:
         """Top-k documents by Jaccard overlap with the query token set."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         fin = self._ensure_finalized()
         if not fin.ids:
             raise ValueError("search on an empty index")
-        qtokens = _as_token_frozenset(query)
+        qtokens = frozenset(query)
         qlen = len(qtokens)
         tids = sorted(fin.token_ids[t] for t in qtokens if t in fin.token_ids)
         n = len(fin.ids)
@@ -508,7 +503,7 @@ class InvertedIndex:
 
     def prefilter_rerank(
         self,
-        query: TokenSet | Iterable[str],
+        query: Iterable[str],
         query_embedding: EmbeddingVector | Iterable[float],
         k1: int,
         k2: int,
@@ -517,13 +512,13 @@ class InvertedIndex:
         """Token search to ``k1`` candidates, then hybrid re-ranking to ``k2``.
 
         Every stage-1 survivor must have an embedding; otherwise the missing
-        ids are reported. The candidates are scored as one batch: their rows
-        are stacked and ``similarity.cosines`` takes one ``np.vecdot`` with
-        the query over them, divided by the cached norms, so each score is
-        bit for bit the ``hybrid(s_a, cosine(query, v)).S`` of the scalar
-        composition, and a fault raises that composition's first error in
-        stage-1 order. The cost is the search, ``k1`` store lookups, one
-        ``k1 x d`` copy and product, and a sort of ``k1`` pairs. On the
+        ids are reported. The candidates are scored as one batch by
+        ``similarity.hybrids``: their rows are stacked and one ``np.vecdot``
+        with the query runs over them, divided by the cached norms, so each
+        score is bit for bit the ``hybrid(s_a, cosine(query, v)).S`` of the
+        scalar composition, and a fault raises that composition's first
+        error in stage-1 order. The cost is the search, ``k1`` store lookups,
+        one ``k1 x d`` copy and product, and a sort of ``k1`` pairs. On the
         benchmark's 100,000-document workloads (``k1 = 100``, ``d = 64``, a
         2-vCPU host, numpy 2.4) the batch score takes 0.17-0.19 ms per query,
         where 100 ``cosine`` and ``hybrid`` calls, each re-deriving both
@@ -540,18 +535,8 @@ class InvertedIndex:
                 "no embedding for candidate id(s): " + ", ".join(sorted(missing))
             )
         ids = [fid for fid, _ in entries]
-        vectors = [embeddings[fid] for fid in ids]
-        s_a = np.array([s for _, s in entries])
-        try:
-            s_e = cosines(query_embedding, vectors)
-            in_range = ((0.0 <= s_a) & (s_a <= 1.0) & (-1.0 <= s_e) & (s_e <= 1.0)).all()
-        except (TypeError, ValueError):
-            in_range = False
-        if not in_range:
-            # the scalar composition raises its first error in stage-1 order
-            for (_, s), vec in zip(entries, vectors):
-                hybrid(s, cosine(query_embedding, vec))
-        rescored = sorted(zip(ids, ((s_e + s_a) / 2).tolist()), key=lambda e: (-e[1], e[0]))
+        scores = hybrids([s for _, s in entries], query_embedding, [embeddings[fid] for fid in ids])
+        rescored = sorted(zip(ids, scores.tolist()), key=lambda e: (-e[1], e[0]))
         return SearchResult(entries=tuple(rescored[:k2]))
 
     def persist(self, path) -> None:

@@ -370,14 +370,15 @@ class FeatureSet:
         return tuple(n for n in FIELD_ORDER if n in self.fields)
 
     def as_dict(self) -> dict[str, Any]:
-        """Plain JSON-ready dict in canonical key order (tuples become lists)."""
+        """Plain JSON-ready dict in canonical key order: tuples become lists,
+        and extension objects are key-sorted at every depth."""
         out: dict[str, Any] = {}
         for name in FIELD_ORDER:
             if name in self.fields:
                 value = self.fields[name]
                 out[name] = list(value) if isinstance(value, tuple) else value
         for key in sorted(self.extensions):
-            out[key] = self.extensions[key]
+            out[key] = _sorted_json(self.extensions[key])
         return out
 
 
@@ -414,14 +415,7 @@ def _sorted_json(value: Any) -> Any:
 
 def canonicalize(fs: FeatureSet) -> str:
     """Byte-deterministic serialization; a fixpoint under validate+canonicalize."""
-    out: dict[str, Any] = {}
-    for name in FIELD_ORDER:
-        if name in fs.fields:
-            value = fs.fields[name]
-            out[name] = list(value) if isinstance(value, tuple) else value
-    for key in sorted(fs.extensions):
-        out[key] = _sorted_json(fs.extensions[key])
-    return json.dumps(out, separators=(",", ":"))
+    return json.dumps(fs.as_dict(), separators=(",", ":"))
 
 
 @dataclass(frozen=True)

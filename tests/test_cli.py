@@ -11,7 +11,7 @@ import pytest
 from asmsieve import cli
 from asmsieve.schema import validate, save_features
 from asmsieve.similarity import save_embeddings
-from helpers import seal_snapshot, snapshot_sections
+from helpers import SELF_OVER_ONE, seal_snapshot, snapshot_sections
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data"
@@ -257,6 +257,17 @@ class TestIndexSearch:
         assert run(["search", "--index", str(snap), "--query", str(features_file),
                     "--id", "nope"]) == 2
 
+    def test_failed_search_leaves_output_file_as_it_was(self, features_file, tmp_path, capsys):
+        snap = tmp_path / "index.snap"
+        run(["index", "--features", str(features_file), "-o", str(snap)])
+        out = tmp_path / "out.txt"
+        out.write_text("kept\n")
+        rc = run(["search", "--index", str(snap), "--query", str(features_file),
+                  "-k", "0", "-o", str(out)])
+        assert rc == 2
+        assert "k must be positive, got 0" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
     @pytest.mark.parametrize("command", ["search", "rerank"])
     def test_id_validates_only_the_selected_query(self, command, features_file, tmp_path, capsys):
         snap = tmp_path / "index.snap"
@@ -432,6 +443,23 @@ class TestRerank:
         assert rc == 0
         result = json.loads(capsys.readouterr().out)
         assert result["results"][0]["id"] == "lib/sha384_init@ARM/O2"
+
+    def test_fault_in_second_query_leaves_output_file_as_it_was(self, features_file, tmp_path,
+                                                                 capsys):
+        snap = tmp_path / "index.snap"
+        run(["index", "--features", str(features_file), "-o", str(snap)])
+        emb = tmp_path / "emb.jsonl"
+        # the second query's self-match has cosine(v, v) > 1
+        save_embeddings(emb, {"lib/sha384_init@ARM/O2": [1.0] * 64,
+                              "lib/sha384_init@x86-64/O2": SELF_OVER_ONE})
+        out = tmp_path / "out.jsonl"
+        out.write_text("kept\n")
+        rc = run(["rerank", "--index", str(snap), "--embeddings", str(emb),
+                  "--query", str(features_file), "--k1", "2", "--k2", "1",
+                  "--format", "json", "-o", str(out)])
+        assert rc == 2
+        assert "s_e must lie in [-1, 1]" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
 
     def test_k2_greater_than_k1_is_config_error(self, features_file, tmp_path):
         snap = tmp_path / "index.snap"
@@ -612,6 +640,10 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "ingest" in proc.stdout and "rerank" in proc.stdout
+
+    def test_every_export_resolves(self):
+        package = importlib.import_module("asmsieve")
+        assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -23,7 +23,7 @@ from asmsieve.evaluation import (
 from asmsieve.fixtures import FixtureStore, prompt_sha256
 from asmsieve.prompts import PromptConfig, build_prompt, load_example_bank
 from asmsieve.schema import canonicalize
-from asmsieve.similarity import EmbeddingStore, TokenSet, cosine, hybrid, jaccard
+from asmsieve.similarity import EmbeddingStore, cosine, hybrid, jaccard
 from helpers import brute_force_metrics, random_feature_set, random_token_set
 
 
@@ -32,7 +32,7 @@ def pairs_of(*items):
 
 
 def token_map(raw):
-    return {fid: TokenSet(frozenset(tokens), source=fid) for fid, tokens in raw.items()}
+    return {fid: frozenset(tokens) for fid, tokens in raw.items()}
 
 
 class TestEvalPool:
@@ -133,7 +133,7 @@ class TestEvaluatePool:
             features = token_map(raw)
 
             def score(a, b):
-                sa, sb = features[a].tokens, features[b].tokens
+                sa, sb = features[a], features[b]
                 return len(sa & sb) / len(sa | sb)
 
             mrr, recall, ranks = brute_force_metrics(pairs, score)
@@ -159,7 +159,7 @@ class TestEvaluatePool:
         features = token_map(raw)
 
         def score(a, b):
-            sa, sb = features[a].tokens, features[b].tokens
+            sa, sb = features[a], features[b]
             s_a = len(sa & sb) / len(sa | sb)
             u, v = vectors[a], vectors[b]
             s_e = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -240,13 +240,11 @@ def _brute_force_ranks(pairs, score):
 
 
 class TestRowScoringOracle:
-    @given(_tie_heavy_pool(), st.sampled_from(("jaccard", "hybrid", "cosine")),
-           st.sampled_from(("TokenSet", "frozenset")))
+    @given(_tie_heavy_pool(), st.sampled_from(("jaccard", "hybrid", "cosine")))
     @settings(max_examples=300, deadline=None)
-    def test_both_ranks_equal_the_scalar_count(self, case, scorer, form):
+    def test_both_ranks_equal_the_scalar_count(self, case, scorer):
         tokens, vectors, pairs = case
-        # the CLI passes bare frozensets, the library API TokenSets
-        features = token_map(tokens) if form == "TokenSet" else dict(tokens)
+        features = dict(tokens)
         store = EmbeddingStore()
         for fid, values in vectors.items():
             store.add(fid, values)

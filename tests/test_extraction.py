@@ -17,7 +17,6 @@ from asmsieve.fixtures import (
     RecordingClient,
     ReplayClient,
     prompt_sha256,
-    record_fixture,
 )
 from asmsieve.clients import StaticAnalysisClient
 from asmsieve.prompts import PromptConfig, load_example_bank
@@ -170,19 +169,6 @@ class TestFixtures:
         store.put(prompt_sha256("s", "u"), 0.2, 0, "body")
         with pytest.raises(FixtureMissError, match="temperature"):
             ReplayClient(store).complete("s", "u", 0.4)
-
-    def test_record_fixture_from_transcript(self, tmp_path, fn, bank):
-        client = ScriptedClient(["bad json", VALID_DOC])
-        fs, transcript = extract_features(fn, client, bank=bank)
-        store = FixtureStore(tmp_path, create=True)
-        fixture_id = record_fixture(transcript, store)
-        assert fixture_id == transcript.prompt_hash
-        # the recorded second attempt replays at its temperature
-        replay = ReplayClient(store)
-        fs2, transcript2 = extract_features(
-            fn, replay, policy=RetryPolicy(base_temperature=0.4), bank=bank
-        )
-        assert fs2 == fs and len(transcript2.attempts) == 1
 
     @pytest.mark.parametrize(
         "body",

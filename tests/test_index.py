@@ -24,7 +24,7 @@ from asmsieve.errors import (
     SnapshotError,
 )
 from asmsieve.index import InvertedIndex, SearchResult
-from asmsieve.similarity import EmbeddingStore, EmbeddingVector, TokenSet, cosine, jaccard
+from asmsieve.similarity import EmbeddingStore, EmbeddingVector, cosine, jaccard
 from helpers import (
     SELF_OVER_ONE,
     exhaustive_search,
@@ -103,10 +103,6 @@ class TestSearch:
     def test_k_larger_than_corpus(self):
         ix = build_index({"a": {"t"}, "b": {"u"}})
         assert len(ix.search({"t"}, 10)) == 2
-
-    def test_accepts_token_set_wrapper(self):
-        ix = build_index({"a": {"t"}})
-        assert ix.search(TokenSet(frozenset({"t"}), source="q"), 1).ids() == ["a"]
 
 
 class TestExactness:

@@ -7,18 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asmsieve.errors import SchemaError
 from asmsieve.schema import FIELD_BY_NAME, FIELD_ORDER, canonicalize, validate
 from asmsieve.similarity import (
     EmbeddingVector,
-    TokenSet,
     cosine,
     cosines,
     flatten,
     hybrid,
+    hybrids,
     jaccard,
     load_embeddings,
     read_token_sets,
@@ -36,44 +36,41 @@ def sample_fs():
 
 class TestFlatten:
     def test_sample_tokens(self, sample_fs):
-        tokens = flatten(sample_fs).tokens
+        tokens = flatten(sample_fs)
         assert "ret_type=Integer" in tokens
         assert "int_consts~0x39" in tokens
         assert "int_consts~0x4" in tokens
         assert "inferred_algo=Initialization" in tokens
 
     def test_empty_array_emits_nothing(self, sample_fs):
-        tokens = flatten(sample_fs).tokens
+        tokens = flatten(sample_fs)
         assert not any(t.startswith("float_consts") for t in tokens)
 
     def test_deterministic(self, sample_fs):
-        assert flatten(sample_fs).tokens == flatten(sample_fs).tokens
+        assert flatten(sample_fs) == flatten(sample_fs)
 
     def test_positional_param_types(self):
         base = json.loads((DATA / "sha384_init_x86_64.json").read_text())
         ab = validate(dict(base, in_param_cnt=2, in_param_types=["Integer", "Pointer"]))
         ba = validate(dict(base, in_param_cnt=2, in_param_types=["Pointer", "Integer"]))
-        assert flatten(ab).tokens != flatten(ba).tokens
+        assert flatten(ab) != flatten(ba)
 
     def test_extensions_flattened_by_name(self, sample_fs):
         base = json.loads((DATA / "sha384_init_x86_64.json").read_text())
         fs = validate(dict(base, origin="model-a", tags=["crypto", "init"]))
-        tokens = flatten(fs).tokens
+        tokens = flatten(fs)
         assert 'origin="model-a"' in tokens
         assert 'tags~0:"crypto"' in tokens and 'tags~1:"init"' in tokens
 
     def test_empty_extension_array_is_one_token(self, sample_fs):
         base = json.loads((DATA / "sha384_init_x86_64.json").read_text())
-        tokens = flatten(validate(dict(base, tags=[]))).tokens
-        assert tokens == flatten(sample_fs).tokens | {"tags=[]"}
-
-    def test_source_recorded(self, sample_fs):
-        assert flatten(sample_fs, source="abc").source == "abc"
+        tokens = flatten(validate(dict(base, tags=[])))
+        assert tokens == flatten(sample_fs) | {"tags=[]"}
 
 
 class TestJaccard:
     def test_identity(self):
-        x = TokenSet(frozenset({"a", "b"}))
+        x = frozenset({"a", "b"})
         assert jaccard(x, x) == 1.0
 
     def test_hand_example(self):
@@ -87,12 +84,11 @@ class TestJaccard:
 
     @given(st.lists(st.sampled_from("abcdefgh"), max_size=12),
            st.lists(st.sampled_from("abcdefgh"), max_size=12),
-           st.sampled_from(("TokenSet", "frozenset", "list")))
+           st.sampled_from(("frozenset", "list")))
     @settings(max_examples=300, deadline=None)
     def test_equals_intersection_over_union_bit_for_bit(self, a, b, form):
         # the list form keeps its duplicates
-        wrap = {"TokenSet": lambda xs: TokenSet(frozenset(xs)), "frozenset": frozenset,
-                "list": list}[form]
+        wrap = {"frozenset": frozenset, "list": list}[form]
         sa, sb = frozenset(a), frozenset(b)
         want = len(sa & sb) / len(sa | sb) if sa | sb else 1.0
         assert _bits([jaccard(wrap(a), wrap(b))]) == _bits([want])
@@ -249,6 +245,49 @@ class TestHybrid:
     def test_monotone_in_s_a(self):
         values = [hybrid(s / 10, 0.3).S for s in range(11)]
         assert values == sorted(values)
+
+
+@st.composite
+def _hybrid_rows(draw):
+    """``(s_a, rows)`` against the query ``SELF_OVER_ONE``: each row a scaled
+    standard-normal vector or a fault, namely the query itself (cosine above
+    one), a zero vector or a row of another dimension, and each ``s_a`` in
+    [0, 1] or, now and then, just outside it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(("plain",) * 4 + ("over-one", "zero", "dim")),
+                          max_size=8))
+    rows = {
+        "plain": lambda: rng.standard_normal(64) * 10.0 ** draw(st.floats(-100, 100)),
+        "over-one": lambda: SELF_OVER_ONE,
+        "zero": lambda: np.zeros(64),
+        "dim": lambda: rng.standard_normal(63),
+    }
+    s_a = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                    st.sampled_from((-5e-324, 1.0000000000000002)))
+    return [draw(s_a) for _ in kinds], [EmbeddingVector(rows[kind]()) for kind in kinds]
+
+
+_ONES, _ZERO, _SHORT = np.ones(64), np.zeros(64), np.ones(63)
+
+
+class TestBatchHybrid:
+    @given(_hybrid_rows())
+    @example(([0.5, 0.5], [EmbeddingVector(_ONES), EmbeddingVector(SELF_OVER_ONE)]))
+    @example(([0.5, 0.5], [EmbeddingVector(_ZERO), EmbeddingVector(_SHORT)]))
+    @example(([0.5, 0.5], [EmbeddingVector(_SHORT), EmbeddingVector(SELF_OVER_ONE)]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scalar_composition(self, case):
+        s_a, vs = case
+        q = EmbeddingVector(SELF_OVER_ONE)
+        try:
+            want = [hybrid(s, cosine(q, v)).S for s, v in zip(s_a, vs)]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                hybrids(s_a, q, vs)
+            assert str(err.value) == str(exc)
+        else:
+            got = hybrids(np.array(s_a), q, vs)
+            assert got.dtype == np.float64 and _bits(got) == _bits(want)
 
 
 class TestEmbeddingStore:
@@ -428,7 +467,7 @@ def _assert_reader_matches_validate_then_flatten(path, docs):
     expected, error = [], None
     for line_no, (fid, doc, present) in enumerate(records, 1):
         try:
-            expected.append((fid, flatten(validate(doc, present)).tokens))
+            expected.append((fid, flatten(validate(doc, present))))
         except SchemaError as exc:
             error = f"{path}:{line_no}: {exc}"
             break
