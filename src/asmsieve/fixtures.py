@@ -6,12 +6,15 @@ every recorded attempt:
     {"prompt_hash": "...",
      "attempts": [{"attempt": 0, "temperature": 0.2, "response": "..."}]}
 
-The prompt hash covers ``system_text + "\\x00" + user_text`` (UTF-8). Replay
-looks responses up by (prompt hash, temperature) and never falls back to a
-live client: an unseen key raises FixtureMissError. Reading and recording
-both check a fixture file's layout first, and a malformed file raises a
-SchemaError naming it (recording leaves it unchanged). Reads are lock-free;
-writes are serialized, and each replaces its file in one ``os.replace``.
+The prompt hash covers ``system_text + "\\x00" + user_text`` (UTF-8), and a
+file's ``prompt_hash`` must name its file: it equals the file's stem. Each
+attempt holds an integer ``attempt`` and a numeric (not boolean)
+``temperature``. Replay looks responses up by (prompt hash, temperature)
+and never falls back to a live client: an unseen key raises
+FixtureMissError. Reading and recording both check a fixture file's layout
+first, and a malformed file raises a SchemaError naming it (recording
+leaves it unchanged). Reads are lock-free; writes are serialized, and each
+replaces its file in one ``os.replace``.
 """
 
 from __future__ import annotations
@@ -36,14 +39,23 @@ def prompt_sha256(system_text: str, user_text: str) -> str:
 
 def _read_fixture(path: Path) -> dict:
     """A fixture file's object, once its layout is checked: an object whose
-    ``"attempts"`` list holds objects with an integer ``"attempt"``."""
+    ``"prompt_hash"`` is its file's stem and whose ``"attempts"`` list holds
+    objects with an integer ``"attempt"`` and a numeric ``"temperature"``."""
     data = read_json_file(path, lambda message: SchemaError(f"fixture {path}: {message}"))
+    if data.get("prompt_hash") != path.stem:
+        raise SchemaError(
+            f"fixture {path}: 'prompt_hash' must name its file, got {data.get('prompt_hash')!r}"
+        )
     attempts = data.get("attempts")
     if not isinstance(attempts, list) or not all(
-        isinstance(a, dict) and type(a.get("attempt")) is int for a in attempts
+        isinstance(a, dict)
+        and type(a.get("attempt")) is int
+        and type(a.get("temperature")) in (int, float)  # not bool, whose True == 1.0
+        for a in attempts
     ):
         raise SchemaError(
-            f"fixture {path}: expected an object with a list of attempts, each with an integer 'attempt'"
+            f"fixture {path}: expected an object with a list of attempts,"
+            " each with an integer 'attempt' and a numeric 'temperature'"
         )
     return data
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -42,6 +42,9 @@ class PromptConfig:
     include_schema_in_prompt: bool = False
     system_prompt_enabled: bool = True
 
+    # the fields of the enabled sections, in schema order; derived from sections
+    enabled_fields: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         unknown = set(self.sections) - set(SECTIONS)
         if unknown:
@@ -55,11 +58,8 @@ class PromptConfig:
             raise ConfigurationError(
                 f"num_examples must lie in 0..{MAX_FEW_SHOT}, got {self.num_examples}"
             )
-
-    @property
-    def enabled_fields(self) -> tuple[str, ...]:
-        allowed = {n for s in self.sections for n in SECTION_FIELDS[s]}
-        return tuple(n for n in FIELD_ORDER if n in allowed)
+        allowed = {n for s in ordered for n in SECTION_FIELDS[s]}
+        object.__setattr__(self, "enabled_fields", tuple(n for n in FIELD_ORDER if n in allowed))
 
 
 @dataclass(frozen=True)
@@ -166,26 +166,25 @@ def _function_block(arch: str, lines: Iterable[str], *, target: bool) -> str:
     return "\n".join([f"{head} (arch: {arch}):", BLOCK_BEGIN, *lines, BLOCK_END])
 
 
-def build_prompt(
-    fn: AssemblyFunction,
-    cfg: PromptConfig,
-    bank: Iterable[PromptExample] | None = None,
-) -> Prompt:
-    """Render the (system, user) prompt pair for one function."""
-    examples = tuple(bank) if bank is not None else load_example_bank()
+# The fixed part of the last rendered prompt: (cfg, bank, system text, user
+# text before the target block, user text after it). One tuple, read once and
+# replaced whole, so concurrent callers never see a torn entry. Holding the
+# bank keeps its id from being reused while the entry stands.
+_last_fixed: tuple[PromptConfig, tuple[PromptExample, ...], str, str, str] | None = None
+
+
+def _render_fixed(cfg: PromptConfig, examples: tuple[PromptExample, ...]) -> tuple[str, str, str]:
+    """(system text, user text before the target block, user text after it)."""
     if cfg.num_examples > len(examples):
         raise ConfigurationError(
             f"prompt asks for {cfg.num_examples} examples but the bank holds {len(examples)}"
         )
-    enabled = cfg.enabled_fields
-
     system_parts: list[str] = []
     if cfg.system_prompt_enabled:
         system_parts.append(load_system_preamble())
         system_parts.extend(section_request_text(s) for s in cfg.sections)
     if cfg.include_schema_in_prompt:
         system_parts.append(schema_reference_text(cfg.sections))
-    system_text = "\n\n".join(system_parts)
 
     user_parts: list[str] = []
     for i, example in enumerate(examples[: cfg.num_examples], 1):
@@ -195,21 +194,42 @@ def build_prompt(
                     f"[Example {i}]",
                     _function_block(example.arch, example.assembly.splitlines(), target=False),
                     "Analysis:",
-                    _filtered_document(example.document, enabled),
+                    _filtered_document(example.document, cfg.enabled_fields),
                 ]
             )
         )
-    field_list = ", ".join(enabled)
-    user_parts.append(
-        "\n".join(
-            [
-                "Now analyze this function.",
-                _function_block(fn.arch, fn.instructions, target=True),
-                f"Respond with one JSON object holding exactly these fields: {field_list}.",
-            ]
-        )
+    user_parts.append("Now analyze this function.\n")
+    field_list = ", ".join(cfg.enabled_fields)
+    tail = f"\nRespond with one JSON object holding exactly these fields: {field_list}."
+    return "\n\n".join(system_parts), "\n\n".join(user_parts), tail
+
+
+def build_prompt(
+    fn: AssemblyFunction,
+    cfg: PromptConfig,
+    bank: Iterable[PromptExample] | None = None,
+) -> Prompt:
+    """Render the (system, user) prompt pair for one function.
+
+    Everything but the target function block (the system text, the worked
+    examples and the closing field list) is rendered once per (config,
+    bank) and reused while the same config and the same bank tuple come
+    again. A bank is therefore read as immutable: build a new one rather
+    than changing one in place. A bank given as another iterable is copied
+    into a new tuple on every call, and without a bank the shipped one is
+    read on every call, so neither reuses a render.
+    """
+    global _last_fixed
+    examples = tuple(bank) if bank is not None else load_example_bank()
+    entry = _last_fixed
+    if entry is None or entry[1] is not examples or entry[0] != cfg:
+        entry = (cfg, examples, *_render_fixed(cfg, examples))
+        _last_fixed = entry
+    _, _, system_text, head, tail = entry
+    return Prompt(
+        system=system_text,
+        user=head + _function_block(fn.arch, fn.instructions, target=True) + tail,
     )
-    return Prompt(system=system_text, user="\n\n".join(user_parts))
 
 
 def parse_target_block(user_text: str) -> tuple[str, list[str]]:

@@ -221,7 +221,8 @@ class EmbeddingVector:
             raise ValueError("embedding must be a non-empty 1-D vector")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "norm", float(np.linalg.norm(values)))
+        with np.errstate(over="ignore"):  # an overflowed norm sends cosine to _rescaled
+            object.__setattr__(self, "norm", float(np.linalg.norm(values)))
 
     @property
     def dim(self) -> int:
@@ -237,15 +238,40 @@ def _as_embedding(v: EmbeddingVector | Iterable[float]) -> EmbeddingVector:
 def _check_pair(u: EmbeddingVector, v: EmbeddingVector) -> None:
     if u.dim != v.dim:
         raise ValueError(f"embedding dimensions differ: {u.dim} vs {v.dim}")
-    if u.norm == 0.0 or v.norm == 0.0:
+    if (u.norm == 0.0 and not u.values.any()) or (v.norm == 0.0 and not v.values.any()):
         raise ValueError("cosine similarity is undefined for a zero vector")
 
 
+# Norms in this range keep every square, product and partial sum of a cosine
+# clear of float64 overflow and of the subnormal range, so ``u · v / (|u| |v|)``
+# loses nothing to them. A vector outside it, including one whose norm itself
+# over- or underflowed, is rescaled first (``_rescaled``).
+_NORM_LO, _NORM_HI = 2.0 ** -480, 2.0 ** 480
+
+
+def _in_range(norm: float) -> bool:
+    return _NORM_LO <= norm <= _NORM_HI
+
+
+def _rescaled(values: np.ndarray) -> np.ndarray:
+    """``values`` divided by its largest absolute entry rounded down to a
+    power of two, which brings that entry into [0.5, 1) exactly: where the
+    unscaled arithmetic neither over- nor underflows, the scaled cosine has
+    the same bits."""
+    return np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1])
+
+
 def cosine(u: EmbeddingVector | Iterable[float], v: EmbeddingVector | Iterable[float]) -> float:
-    """``u · v / (|u| |v|)`` in float64, from the vectors' cached norms."""
+    """``u · v / (|u| |v|)`` in float64, from the vectors' cached norms, or,
+    when a norm lies outside [2**-480, 2**480], from both vectors rescaled
+    by ``_rescaled``. Defined for every pair of finite non-zero vectors of
+    one dimension."""
     eu, ev = _as_embedding(u), _as_embedding(v)
     _check_pair(eu, ev)
-    return float(np.dot(eu.values, ev.values) / (eu.norm * ev.norm))
+    if _in_range(eu.norm) and _in_range(ev.norm):
+        return float(np.dot(eu.values, ev.values) / (eu.norm * ev.norm))
+    a, b = _rescaled(eu.values), _rescaled(ev.values)
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def cosines(u: EmbeddingVector | Iterable[float], vs: Sequence[EmbeddingVector]) -> np.ndarray:
@@ -253,15 +279,16 @@ def cosines(u: EmbeddingVector | Iterable[float], vs: Sequence[EmbeddingVector])
     the same first error. ``np.vecdot`` of the stacked rows with ``u`` runs
     the same dot product per row as ``np.dot`` does for one pair, and the
     norm products and quotients are the same IEEE operations, element by
-    element; a matrix product (``M @ u``) would not be."""
+    element; a matrix product (``M @ u``) would not be. A batch with a norm
+    out of range or a row of another dimension is that scalar loop."""
     if not vs:
         return np.empty(0)
     eu = _as_embedding(u)
     rows = [v.values for v in vs]
     norms = np.array([v.norm for v in vs])
-    if eu.norm == 0.0 or not norms.all() or set(map(len, rows)) != {eu.dim}:
-        for v in vs:
-            _check_pair(eu, v)
+    if not (_in_range(eu.norm) and _NORM_LO <= norms.min() and norms.max() <= _NORM_HI
+            and set(map(len, rows)) == {eu.dim}):
+        return np.array([cosine(eu, v) for v in vs])
     stacked = np.concatenate(rows).reshape(len(rows), eu.dim)
     return np.vecdot(stacked, eu.values) / (eu.norm * norms)
 

@@ -4,8 +4,10 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asmsieve import cli
@@ -495,6 +497,49 @@ class TestRerank:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"k2 must be positive, got {k2}" in captured.err
+
+
+# Finite non-zero embeddings whose norms or dot products leave the float64
+# range, and a power of two that scales each into range.
+EXTREME_EMBEDDINGS = [
+    ([1e200, 1e-300, 0.0, 0.0], -600),
+    ([1e200] * 4, -600),
+    ([1e-200] * 4, 600),
+    ([5e-324, 0.0, 0.0, 0.0], 1070),
+]
+
+
+@pytest.mark.parametrize("values, e", EXTREME_EMBEDDINGS,
+                         ids=["norm-overflows", "dot-overflows", "norm-underflows", "subnormal"])
+@pytest.mark.parametrize("command", ["rerank", "eval-cosine", "eval-hybrid"])
+def test_extreme_embedding_scores_as_scaled_into_range(features_file, tmp_path, capsys,
+                                                       command, values, e):
+    snap = tmp_path / "index.snap"
+    run(["index", "--features", str(features_file), "-o", str(snap)])
+    capsys.readouterr()
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text("".join(
+        json.dumps({"left": a, "right": b, "pairing": "cross_architecture"}) + "\n"
+        for a, b in [("lib/sha384_init@ARM/O2", "lib/sha384_init@x86-64/O2"),
+                     ("lib/sha384_init@x86-64/O2", "lib/sha384_init@ARM/O2")]))
+    emb = tmp_path / "emb.jsonl"
+    argv = {
+        "rerank": ["rerank", "--index", str(snap), "--embeddings", str(emb),
+                   "--query", str(features_file), "--k1", "2", "--k2", "2", "--format", "json"],
+        "eval-cosine": ["eval", "--pool", str(pool), "--features", str(features_file),
+                        "--scorer", "cosine", "--embeddings", str(emb), "--format", "json"],
+        "eval-hybrid": ["eval", "--pool", str(pool), "--features", str(features_file),
+                        "--scorer", "hybrid", "--embeddings", str(emb), "--format", "json"],
+    }[command]
+    outputs = []
+    for arm in (values, np.ldexp(values, e).tolist()):
+        save_embeddings(emb, {"lib/sha384_init@ARM/O2": arm,
+                              "lib/sha384_init@x86-64/O2": [1.0, 0.25, 0.0, 0.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 class TestEval:

@@ -170,34 +170,44 @@ class TestFixtures:
         with pytest.raises(FixtureMissError, match="temperature"):
             ReplayClient(store).complete("s", "u", 0.4)
 
+    # Each body names its own file (HASH stands for the file's stem) unless
+    # the prompt hash is the fault under test. `true == 1.0` in Python, so a
+    # boolean temperature would otherwise serve the lookup at 1.0.
     @pytest.mark.parametrize(
         "body",
         [
             "[]",
-            '{"attempts": [{"attempt": 0, "temperature": 0.2}]}',
-            '{"attempts": [{"attempt": 0, "temperature": 0.2, "response": 5}]}',
+            '{"prompt_hash": "HASH", "attempts": [{"attempt": 0, "temperature": 1.0}]}',
+            '{"prompt_hash": "HASH", "attempts": [{"attempt": 0, "temperature": 1.0, "response": 5}]}',
             '{"attempts": [',
             "[" * 100_000,
+            '{"prompt_hash": "HASH", "attempts": [{"attempt": 0, "temperature": true, "response": "r"}]}',
+            '{"prompt_hash": "HASH", "attempts": [{"attempt": 0, "temperature": "0.2", "response": "r"}]}',
+            '{"attempts": [{"attempt": 0, "temperature": 1.0, "response": "r"}]}',
+            '{"prompt_hash": "OTHER", "attempts": [{"attempt": 0, "temperature": 1.0, "response": "r"}]}',
         ],
-        ids=["not-an-object", "no-response", "non-string-response", "invalid-json", "deep-nesting"],
+        ids=["not-an-object", "no-response", "non-string-response", "invalid-json", "deep-nesting",
+             "bool-temperature", "string-temperature", "no-prompt-hash", "other-prompt-hash"],
     )
     def test_malformed_fixture_names_its_file(self, tmp_path, body):
         path = tmp_path / f"{prompt_sha256('s', 'u')}.json"
-        path.write_text(body)
+        path.write_text(body.replace("HASH", path.stem).replace("OTHER", prompt_sha256("s", "v")))
         with pytest.raises(SchemaError, match=path.name):
-            ReplayClient(FixtureStore(tmp_path)).complete("s", "u", 0.2)
+            ReplayClient(FixtureStore(tmp_path)).complete("s", "u", 1.0)
 
     @pytest.mark.parametrize(
         "body",
         [
             "[]",
-            '{"prompt_hash": "h"}',
-            '{"attempts": [{"temperature": 0.4, "response": "r"}]}',
+            '{"prompt_hash": "HASH"}',
+            '{"prompt_hash": "HASH", "attempts": [{"temperature": 0.4, "response": "r"}]}',
+            '{"prompt_hash": "OTHER", "attempts": []}',
         ],
-        ids=["not-an-object", "no-attempts", "attempt-without-number"],
+        ids=["not-an-object", "no-attempts", "attempt-without-number", "other-prompt-hash"],
     )
     def test_put_over_malformed_fixture_names_its_file(self, tmp_path, body):
         path = tmp_path / f"{prompt_sha256('s', 'u')}.json"
+        body = body.replace("HASH", path.stem).replace("OTHER", prompt_sha256("s", "v"))
         path.write_text(body)
         with pytest.raises(SchemaError, match=path.name):
             FixtureStore(tmp_path).put(prompt_sha256("s", "u"), 0.2, 0, "r")

@@ -770,7 +770,7 @@ class TestBatchRerankExactness:
     def _faulty(self, first):
         """Two candidates in stage-1 order: ``first`` then the other of a
         self-lookup vector whose cosine rounds above 1 and a vector whose
-        norm underflows to 0."""
+        norm underflows to 0, which is rescaled and scores like any other."""
         ix = build_index({"full": {"a", "b"}, "half": {"a"}})
         tiny = [1e-170] * 64
         store = EmbeddingStore()
@@ -787,7 +787,7 @@ class TestBatchRerankExactness:
 
     @pytest.mark.parametrize("first, message", [
         ("over-one", re.escape("s_e must lie in [-1, 1], got 1.0000000000000002")),
-        ("zero-norm", "cosine similarity is undefined for a zero vector"),
+        ("zero-norm", re.escape("s_e must lie in [-1, 1], got 1.0000000000000002")),
     ])
     def test_first_offending_candidate_in_stage1_order(self, first, message):
         ix, store = self._faulty(first)

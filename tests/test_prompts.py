@@ -1,11 +1,19 @@
+import hashlib
 import json
 import re
+import sys
+import threading
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asmsieve.corpus import AssemblyFunction
+from asmsieve import prompts
+from asmsieve.corpus import AssemblyFunction, parse_listing
 from asmsieve.errors import ConfigurationError, SchemaError
+from asmsieve.fixtures import prompt_sha256
 from asmsieve.prompts import (
     SECTIONS,
     PromptConfig,
@@ -178,6 +186,107 @@ class TestBuildPrompt:
         a = build_prompt(fn, PromptConfig(), bank)
         b = build_prompt(fn, PromptConfig(), bank)
         assert (a.system, a.user) == (b.system, b.user)
+
+
+MINI = Path(__file__).parent / "data" / "mini"
+
+# Every configuration: 31 non-empty section subsets x 0-3 examples x schema
+# flag x system flag.
+GRID = tuple(
+    PromptConfig(sections=tuple(s for j, s in enumerate(SECTIONS) if mask >> j & 1),
+                 num_examples=n, include_schema_in_prompt=schema, system_prompt_enabled=system)
+    for mask in range(1, 1 << len(SECTIONS))
+    for n in range(4)
+    for schema in (False, True)
+    for system in (False, True)
+)
+
+# SHA-256 over the prompt hashes of GRID x mini_functions on the shipped bank,
+# as rendered before the fixed part of a prompt was cached.
+GRID_DIGEST = "e397c0535268c0f7f2dec4fcbcd22e2b4697a42ef57fb97b82664546f71eabb1"
+
+
+@pytest.fixture(scope="module")
+def mini_functions():
+    """The first function of each mini listing (O0 and O3)."""
+    return [
+        parse_listing((MINI / "listings" / f"miniapp_x86-64_{opt}.lst").read_text(encoding="utf-8"),
+                      library="miniapp", arch="x86-64", opt_level=opt)[0]
+        for opt in ("O0", "O3")
+    ]
+
+
+@pytest.fixture(scope="module")
+def changed_bank(tmp_path_factory):
+    """A directory bank equal to the shipped one but for one document."""
+    root = tmp_path_factory.mktemp("bank")
+    for entry in resources.files("asmsieve").joinpath("assets", "examples").iterdir():
+        (root / entry.name).write_bytes(entry.read_bytes())
+    doc = json.loads((root / "ex2_arm.json").read_text())
+    (root / "ex2_arm.json").write_text(json.dumps({**doc, "loop": not doc["loop"]}))
+    return load_example_bank(root)
+
+
+class TestPromptBytes:
+    def test_grid_digest_pinned(self, bank, mini_functions):
+        assert len(GRID) == 496
+        digest = hashlib.sha256()
+        for cfg in GRID:
+            for fn in mini_functions:
+                prompt = build_prompt(fn, cfg, bank)
+                digest.update(prompt_sha256(prompt.system, prompt.user).encode("ascii"))
+        assert digest.hexdigest() == GRID_DIGEST
+
+    def test_fixed_part_rendered_once_per_config_and_bank(self, fn, bank, monkeypatch):
+        calls = []
+        real = prompts.load_system_preamble
+        monkeypatch.setattr(prompts, "load_system_preamble", lambda: calls.append(1) or real())
+        one, two, other = PromptConfig(), PromptConfig(num_examples=1), tuple(list(bank))
+        for cfg, b in [(one, bank)] * 3 + [(two, bank), (two, other), (two, other), (one, other)]:
+            build_prompt(fn, cfg, b)
+        assert len(calls) == 4
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_renders_equal_cold_renders(self, data, bank, changed_bank, mini_functions):
+        banks = {"shipped": bank, "equal-copy": tuple(list(bank)), "list": list(bank),
+                 "changed-directory": changed_bank}
+        palette = data.draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=3))
+        calls = data.draw(st.lists(
+            st.tuples(st.sampled_from(palette), st.sampled_from(sorted(banks)),
+                      st.sampled_from(mini_functions)),
+            min_size=1, max_size=12))
+        rendered = [build_prompt(fn, cfg, banks[name]) for cfg, name, fn in calls]
+        for (cfg, name, fn), got in zip(calls, rendered):
+            assert got == build_prompt(fn, cfg, tuple(list(banks[name])))
+
+    def test_threads_sharing_the_cache_render_cold_bytes(self, bank, changed_bank, mini_functions):
+        """Eight threads render interleaved (config, bank) pairs with a short
+        switch interval; a torn or mismatched cache entry would show up as a
+        prompt that differs from its cold render."""
+        cases = [(cfg, b, fn) for cfg in GRID[::61] for b in (bank, changed_bank) for fn in mini_functions]
+        want = [build_prompt(fn, cfg, tuple(list(b))) for cfg, b, fn in cases]
+        mismatches = []
+
+        def worker(offset):
+            for i in range(400):
+                j = (offset + i * 7) % len(cases)
+                cfg, b, fn = cases[j]
+                if build_prompt(fn, cfg, b) != want[j]:
+                    mismatches.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 class TestTargetBlock:

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,8 @@ class TestBatchCosine:
         ([1.0, 2.0], [[1.0, 2.0, 3.0], [0.0, 1.0]], "embedding dimensions differ: 2 vs 3"),
         ([0.0, 0.0], [[1.0, 2.0, 3.0]], "embedding dimensions differ: 2 vs 3"),
         ([0.0, 0.0], [[1.0, 2.0], [1.0, 2.0, 3.0]], "undefined for a zero vector"),
-        ([1.0, 2.0], [[1e-170, 1e-170], [1.0, 2.0, 3.0]], "undefined for a zero vector"),
+        # the row's norm underflows to 0, yet it is a valid vector: the next row is the fault
+        ([1.0, 2.0], [[1e-170, 1e-170], [1.0, 2.0, 3.0]], "embedding dimensions differ: 2 vs 3"),
         ([[1.0, 2.0]], [[1.0, 2.0]], "non-empty 1-D vector"),
     ], ids=["dim", "dim-before-zero-query", "zero-query", "zero-norm-row", "query-shape"])
     def test_first_error_is_the_scalar_loops(self, query, rows, message):
@@ -202,6 +204,41 @@ class TestBatchCosine:
             [cosine(query, v) for v in vs]
         with pytest.raises(ValueError, match=message):
             cosines(query, vs)
+
+
+class TestScaleSafeCosine:
+    """Finite non-zero vectors whose norms, norm products or dot products
+    leave the float64 range still have a cosine, the one of the same vectors
+    scaled into range."""
+
+    @pytest.mark.parametrize("u, v, want", [
+        ([1e200, 1e-300, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0),
+        ([1e200] * 4, [1e200] * 4, 1.0),
+        ([1e-200] * 4, [1.0] * 4, 1.0),
+        ([5e-324, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0),
+        ([1e200, 0.0], [1e-200, 1e-200], 0.5 ** 0.5),
+        ([1e-170, 0.0], [0.0, 3.0], 0.0),
+    ], ids=["norm-overflows", "dot-overflows", "norm-underflows", "subnormal", "mixed", "orthogonal"])
+    def test_extreme_vectors(self, u, v, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cosine(u, v)
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
+            assert _bits(cosines(u, [EmbeddingVector(v), EmbeddingVector(u)])) == _bits(
+                [got, cosine(u, u)])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(-1000, 1000))
+    @example(0, 64, -1000)
+    @example(0, 64, 1000)
+    @settings(max_examples=300, deadline=None)
+    def test_power_of_two_scaling_moves_cosines_a_few_ulp(self, seed, dim, e):
+        rng = np.random.default_rng(seed)
+        u, v, w = rng.standard_normal((3, dim))
+        scaled = np.ldexp(u, e)
+        want = np.array([cosine(u, v), cosine(u, w)])
+        for got in (np.array([cosine(scaled, v), cosine(scaled, w)]),
+                    cosines(scaled, [EmbeddingVector(v), EmbeddingVector(w)])):
+            assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
 
 
 class TestEmbeddingVector:
