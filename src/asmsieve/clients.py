@@ -18,6 +18,7 @@ from typing import Protocol
 from .corpus import AssemblyFunction
 from .errors import ClientTransportError, ConfigurationError
 from .prompts import parse_target_block
+from .schema import json_value
 from .static_analysis import static_extract
 
 DEFAULT_MAX_OUTPUT_TOKENS = 512
@@ -94,16 +95,16 @@ class HttpChatClient:
             # HTTPError (a status >= 400), a refused connection and a timeout are
             # OSErrors; a malformed response is an HTTPException, a bad host a ValueError
             raise ClientTransportError(f"chat endpoint request failed: {exc}") from exc
+        body = json_value(raw, lambda message: ClientTransportError(f"chat endpoint returned {message}"))
         try:
-            body = json.loads(raw)
-        except ValueError as exc:
-            raise ClientTransportError(f"chat endpoint returned invalid JSON: {exc}") from exc
-        try:
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ClientTransportError(
                 "chat endpoint response lacks choices[0].message.content"
             ) from exc
+        if not isinstance(content, str):
+            raise ClientTransportError(f"chat endpoint content is not a string: {content!r:.40}")
+        return content
 
 
 class StaticAnalysisClient:

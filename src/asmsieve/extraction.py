@@ -8,7 +8,6 @@ are not retried; they propagate with the transcript gathered so far.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -21,7 +20,7 @@ from .errors import (
 )
 from .fixtures import prompt_sha256
 from .prompts import PromptConfig, PromptExample, build_prompt
-from .schema import FIELD_BY_NAME, FeatureSet, validate
+from .schema import FIELD_BY_NAME, FeatureSet, json_value, validate
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,6 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class Attempt:
-    system_text: str
-    user_text: str
     temperature: float
     response: str | None
     outcome: str  # "ok" | "invalid-json: ..." | "schema-error: ..." | "transport-error: ..."
@@ -55,6 +52,22 @@ class Attempt:
 class ClientTranscript:
     prompt_hash: str
     attempts: list[Attempt] = field(default_factory=list)
+
+
+def _read_answer(response: str, enabled: set[str], required: tuple[str, ...]) -> FeatureSet | str:
+    """One answer read in one step: decoded, stripped of the core fields
+    outside ``enabled``, and validated. Returns the document, or the failed
+    attempt's outcome."""
+    try:
+        doc = json_value(response, ValueError)
+    except ValueError as exc:  # worded "invalid JSON: <decoder message>"
+        return "invalid-json" + str(exc).removeprefix("invalid JSON")
+    if isinstance(doc, dict):
+        doc = {key: value for key, value in doc.items() if key not in FIELD_BY_NAME or key in enabled}
+    try:
+        return validate(doc, required_fields=required)
+    except SchemaError as exc:
+        return f"schema-error: {exc}"
 
 
 def extract_features(
@@ -85,36 +98,13 @@ def extract_features(
         try:
             response = client.complete(prompt.system, prompt.user, temperature, max_output_tokens)
         except ClientTransportError as exc:
-            transcript.attempts.append(
-                Attempt(prompt.system, prompt.user, temperature, None, f"transport-error: {exc}")
-            )
+            transcript.attempts.append(Attempt(temperature, None, f"transport-error: {exc}"))
             exc.transcript = transcript
             raise
-        try:
-            doc = json.loads(response)
-        except (ValueError, RecursionError) as exc:  # bad JSON, too-long integer, deep nesting
-            transcript.attempts.append(
-                Attempt(prompt.system, prompt.user, temperature, response,
-                        f"invalid-json: {getattr(exc, 'msg', exc)}")
-            )
-            continue
-        if isinstance(doc, dict):
-            doc = {
-                key: value
-                for key, value in doc.items()
-                if key not in FIELD_BY_NAME or key in enabled
-            }
-        try:
-            fs = validate(doc, required_fields=required)
-        except SchemaError as exc:
-            transcript.attempts.append(
-                Attempt(prompt.system, prompt.user, temperature, response, f"schema-error: {exc}")
-            )
-            continue
-        transcript.attempts.append(
-            Attempt(prompt.system, prompt.user, temperature, response, "ok")
-        )
-        return fs, transcript
+        fs = _read_answer(response, enabled, required)
+        transcript.attempts.append(Attempt(temperature, response, fs if isinstance(fs, str) else "ok"))
+        if not isinstance(fs, str):
+            return fs, transcript
 
     raise ExtractionFailedError(
         f"no valid feature document for {fn.id!r} after {policy.max_retries + 1} attempt(s)",

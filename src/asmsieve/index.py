@@ -112,6 +112,7 @@ from .errors import (
     MissingEmbeddingError,
     SnapshotError,
 )
+from .schema import json_value
 from .similarity import EmbeddingStore, EmbeddingVector, hybrids
 # cosine and hybrid are no longer called here; kept because the benchmark
 # tracer wraps index.cosine and index.hybrid by name
@@ -577,14 +578,14 @@ class InvertedIndex:
             if fh.read(1):
                 raise SnapshotError("snapshot holds trailing bytes")
 
-        meta = _json_section(meta, "meta")
+        meta = json_value(meta, lambda message: SnapshotError(f"snapshot meta section holds {message}"))
         if not isinstance(meta, dict) or any(
             type(meta.get(key)) is not int or meta[key] < 0 for key in _META_KEYS
         ):
             raise SnapshotError("snapshot meta needs non-negative integers " + ", ".join(_META_KEYS))
         n, n_tokens, nnz = (meta[key] for key in _META_KEYS)
-        ids = _sorted_unique(_json_section(ids, "ids"), n, "ids")
-        tokens = _sorted_unique(_json_section(tokens, "tokens"), n_tokens, "tokens")
+        ids = _sorted_unique(ids, n, "ids")
+        tokens = _sorted_unique(tokens, n_tokens, "tokens")
         if len(offsets) != 8 * (n_tokens + 1) or len(flat) != 4 * nnz:
             raise SnapshotError("snapshot sections disagree on sizes")
         offsets = np.frombuffer(offsets, dtype="<i8")
@@ -613,14 +614,8 @@ def _read_section(fh, size: int) -> bytes:
     return payload
 
 
-def _json_section(payload: bytes, name: str):
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise SnapshotError(f"snapshot {name} section is not valid JSON: {exc}") from exc
-
-
-def _sorted_unique(values, count: int, name: str) -> list[str]:
+def _sorted_unique(payload: bytes, count: int, name: str) -> list[str]:
+    values = json_value(payload, lambda message: SnapshotError(f"snapshot {name} section holds {message}"))
     if not (isinstance(values, list) and len(values) == count and set(map(type, values)) <= {str}):
         raise SnapshotError(f"snapshot {name} section is not a list of {count} strings")
     if not all(map(str.__lt__, values, values[1:])):

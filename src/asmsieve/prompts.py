@@ -9,6 +9,7 @@ mentioned in the prompt exactly when its section is enabled.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -18,7 +19,9 @@ from typing import Any, Iterable, Mapping
 
 from .corpus import AssemblyFunction
 from .errors import ConfigurationError, SchemaError
-from .schema import FIELD_BY_NAME, FIELD_ORDER, SECTION_FIELDS, SECTIONS, read_json_file, validate
+from .schema import (
+    FIELD_BY_NAME, FIELD_ORDER, SECTION_FIELDS, SECTIONS, file_text, read_json_file, validate,
+)
 
 MAX_FEW_SHOT = 4
 
@@ -84,26 +87,30 @@ def load_system_preamble() -> str:
 
 
 def load_example_bank(path: str | Path | None = None) -> tuple[PromptExample, ...]:
-    """Read the (assembly, document) example pairs shipped as assets, or from
-    a directory holding matching ``<stem>.asm`` / ``<stem>.json`` files. A
-    file that is not UTF-8, a ``.json`` that is not a JSON object, and in a
-    directory a document that fails ``schema.validate`` raise a SchemaError
-    naming the file. A document is kept as read, not as validated. The
-    shipped documents are not validated here, on every call; a test does."""
-    root = resources.files("asmsieve").joinpath("assets", "examples") if path is None else Path(path)
+    """Read the (assembly, document) example pairs shipped as assets (once
+    per process), or from a directory holding matching ``<stem>.asm`` /
+    ``<stem>.json`` files. A file that is not UTF-8, a ``.json`` that is not
+    a JSON object, and a document that fails ``schema.validate`` raise a
+    SchemaError naming the file. A document is kept as read, not as
+    validated."""
+    return _shipped_bank() if path is None else _read_bank(Path(path))
+
+
+@functools.cache
+def _shipped_bank() -> tuple[PromptExample, ...]:
+    return _read_bank(resources.files("asmsieve").joinpath("assets", "examples"))
+
+
+def _read_bank(root) -> tuple[PromptExample, ...]:
     bank = []
     for name in sorted(entry.name for entry in root.iterdir() if entry.name.endswith(".asm")):
         asm_path, doc_path = root.joinpath(name), root.joinpath(name[:-4] + ".json")
-        try:
-            asm_text = asm_path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"example bank {asm_path}: not UTF-8: {exc}") from exc
+        asm_text = file_text(asm_path, lambda message: SchemaError(f"example bank {asm_path}: {message}"))
         doc = read_json_file(doc_path, lambda message: SchemaError(f"example bank {doc_path}: {message}"))
-        if path is not None:
-            try:
-                validate(doc)
-            except SchemaError as exc:
-                raise SchemaError(f"example bank {doc_path}: {exc}") from exc
+        try:
+            validate(doc)
+        except SchemaError as exc:
+            raise SchemaError(f"example bank {doc_path}: {exc}") from exc
         arch = ""
         lines = []
         for line in asm_text.splitlines():
@@ -216,8 +223,7 @@ def build_prompt(
     bank) and reused while the same config and the same bank tuple come
     again. A bank is therefore read as immutable: build a new one rather
     than changing one in place. A bank given as another iterable is copied
-    into a new tuple on every call, and without a bank the shipped one is
-    read on every call, so neither reuses a render.
+    into a new tuple on every call, so it does not reuse a render.
     """
     global _last_fixed
     examples = tuple(bank) if bank is not None else load_example_bank()

@@ -13,12 +13,12 @@ through it, and so does the token reader in ``similarity``, which keeps
 its own memos around the same validators. ``check_complete`` holds
 the document-level rules (required fields, parameter count).
 
-Outside JSON is decoded in one place, ``json_object``: the features,
-embeddings, corpus and pairs readers go through ``read_json_lines`` and
-word every error ``path:line: ``; fixtures and the example bank go through
-``read_json_file``. Features files are read by ``read_records``, which
-checks each record's ``id`` and ``present`` list and rejects an id
-repeated across the files.
+Outside JSON is decoded in one place, ``json_value``: the features,
+embeddings, corpus and pairs readers reach it through ``read_json_lines``
+(errors ``path:line: ``), fixtures and the example bank through
+``read_json_file``, and snapshots, chat bodies and model answers directly.
+Features files are read by ``read_records``, which checks each record's
+``id`` and ``present`` list and rejects an id repeated across the files.
 
 Canonical form rules:
   * fields serialized in the fixed order of ``FIELD_ORDER``;
@@ -510,14 +510,18 @@ def read_text(path, error: Callable[[int, str], Exception]) -> str:
     return "".join(line for _, line in read_lines(path, error))
 
 
-def json_object(text: str, error: Callable[[str], Exception]) -> dict:
-    """The JSON object ``text`` holds, or ``error("invalid JSON: ...")`` for
-    text that is not JSON or that Python cannot hold (a too-long integer,
-    deep nesting), and ``error("not a JSON object")`` for any other value."""
+def json_value(text: str | bytes, error: Callable[[str], Exception]) -> Any:
+    """The JSON value of ``text`` (bytes are read as UTF-8 only), or ``error("invalid
+    JSON: <decoder message>")``, also for a too-long integer or deep nesting."""
     try:
-        obj = json.loads(text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as exc:
         raise error(f"invalid JSON: {exc}") from exc
+
+
+def json_object(text: str, error: Callable[[str], Exception]) -> dict:
+    """``json_value``, and ``error("not a JSON object")`` for any other value."""
+    obj = json_value(text, error)
     if not isinstance(obj, dict):
         raise error("not a JSON object")
     return obj
@@ -532,14 +536,17 @@ def read_json_lines(path, error: Callable[[int, str], Exception]) -> Iterator[tu
             yield line_no, json_object(line, partial(error, line_no))
 
 
-def read_json_file(path, error: Callable[[str], Exception]) -> dict:
-    """The JSON object of a whole UTF-8 file (a ``Path`` or a package
-    resource), or ``error(message)``."""
+def file_text(path, error: Callable[[str], Exception]) -> str:
+    """A whole UTF-8 file's text (a ``Path`` or a package resource), or ``error("not UTF-8: ...")``."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"not UTF-8: {exc}") from exc
-    return json_object(text, error)
+
+
+def read_json_file(path, error: Callable[[str], Exception]) -> dict:
+    """The JSON object of a whole UTF-8 file, or ``error(message)``."""
+    return json_object(file_text(path, error), error)
 
 
 def located(error_type: Callable[[str], Exception], path) -> Callable[[int, str], Exception]:

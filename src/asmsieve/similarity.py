@@ -370,10 +370,11 @@ def load_embeddings(path) -> EmbeddingStore:
             raise error(line_no, "'id' must be a string")
         if fid in store:
             raise error(line_no, f"duplicate id {fid!r}")
-        if not isinstance(obj["values"], list):
+        values = obj["values"]
+        if not isinstance(values, list) or set(map(type, values)) & {bool, str}:
             raise error(line_no, "'values' must be a list of numbers")
         try:
-            store.add(fid, obj["values"])
+            store.add(fid, values)
         except (TypeError, ValueError) as exc:  # an element that is not a number
             raise error(line_no, str(exc)) from exc
     return store

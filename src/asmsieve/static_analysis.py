@@ -26,7 +26,10 @@ Per-architecture rule tables (x86-64, ARM, MIPS):
   * simd: vector registers (xmm/ymm/zmm, q/v arrangements, MSA ``$w``) or a
     vector mnemonic.
 
-Register names are expected in symbolic form (``$v0``, not ``$2``).
+Register names are expected in symbolic form (``$v0``, not ``$2``). A
+decimal literal or branch index longer than Python's int_max_str_digits
+(4,300 digits by default) is skipped, or left unresolved: no ISA has an
+immediate that wide.
 """
 
 from __future__ import annotations
@@ -116,16 +119,20 @@ _ARM_REG_RE = re.compile(r"\b(r\d{1,2}|[xw]\d{1,2}|sp|fp|lr|ip|pc)\b", re.IGNORE
 _ARM_SHIFT_RE = re.compile(r"\b(lsl|lsr|asr|ror)\b", re.IGNORECASE)
 
 
+def _decimal(digits: str) -> int | None:
+    """``int(digits)``, or None past Python's int_max_str_digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def _parse_literals(text: str) -> list[int]:
     values = []
     for sign, hex_0x, hex_h, dec in _IMM_RE.findall(text):
-        if hex_0x:
-            v = int(hex_0x, 16)
-        elif hex_h:
-            v = int(hex_h, 16)
-        else:
-            v = int(dec, 10)
-        values.append(-v if sign else v)
+        v = int(hex_0x or hex_h, 16) if hex_0x or hex_h else _decimal(dec)
+        if v is not None:
+            values.append(-v if sign else v)
     return values
 
 
@@ -138,7 +145,7 @@ def _branch_target(operand: str, address_mode: bool) -> int | None:
     last = None
     for m in _TARGET_INDEX_RE.finditer(operand):
         last = m.group(1)
-    return int(last) if last is not None else None
+    return _decimal(last) if last is not None else None
 
 
 def _is_indexed(arch: str, body: str) -> bool:

@@ -6,9 +6,11 @@ library internals: exhaustive scans, direct counting, plain arithmetic.
 
 from __future__ import annotations
 
+import http.server
 import json
 import random
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -160,3 +162,43 @@ def snapshot_documents(sections: list[bytes]) -> dict[str, frozenset[str]]:
             assert 0 <= doc < len(ids), f"posting {doc} names no document"
             docs[ids[doc]].add(token)
     return {fid: frozenset(tokens) for fid, tokens in docs.items()}
+
+
+class ChatEndpoint:
+    """A chat endpoint on 127.0.0.1 that records each request and answers with
+    the status and body set on it."""
+
+    def __init__(self):
+        self.requests = []
+        self.status = 200
+        self.body = b"{}"
+        endpoint = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                data = self.rfile.read(int(self.headers["Content-Length"]))
+                endpoint.requests.append(
+                    {"path": self.path, "headers": dict(self.headers), "payload": json.loads(data)}
+                )
+                self.send_response(endpoint.status)
+                self.send_header("Content-Length", str(len(endpoint.body)))
+                self.end_headers()
+                self.wfile.write(endpoint.body)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_port}/v1/chat"
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread.start()
+
+    def reply(self, doc, status=200):
+        self.body = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+        self.status = status
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()

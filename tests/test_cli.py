@@ -13,7 +13,7 @@ import pytest
 from asmsieve import cli
 from asmsieve.schema import validate, save_features
 from asmsieve.similarity import save_embeddings
-from helpers import SELF_OVER_ONE, seal_snapshot, snapshot_sections
+from helpers import SELF_OVER_ONE, ChatEndpoint, seal_snapshot, snapshot_sections
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data"
@@ -135,6 +135,39 @@ class TestExtract:
         assert outputs[0] == outputs[1]
         first = json.loads(outputs[0].decode().splitlines()[0])
         assert first["features"]["subcall_targets"] == 1
+
+    def test_static_client_skips_literals_too_long_for_int(self, tmp_path, capsys):
+        wide = "9" * 5000
+        listing = tmp_path / "wide.lst"
+        listing.write_text(GOOD_LISTING + f"; FUNCTION wide\nmov eax, {wide}\nb {wide}\nret\n")
+        corpus = self._corpus(listing, tmp_path)
+        out = tmp_path / "f.jsonl"
+        assert run(["extract", "--corpus", str(corpus), "--client", "static", "-o", str(out)]) == 0
+        ids = [json.loads(line)["id"] for line in out.read_text().splitlines()]
+        assert ids == [f"lib/{name}@x86-64/O0" for name in ("alpha", "beta", "wide")]
+        assert "extracted 3/3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"choices":[{"message":{"content":null}}]}', b'{"choices":[{"message":{"content":5}}]}',
+         b"[" * 100_000],
+        ids=["null-content", "number-content", "deep-nesting"],
+    )
+    def test_unusable_live_answer_exits_3_naming_each_function(self, listing, tmp_path, capsys,
+                                                                 body):
+        corpus = self._corpus(listing, tmp_path)
+        endpoint = ChatEndpoint()
+        try:
+            endpoint.reply(body)
+            rc = run(["extract", "--corpus", str(corpus), "--client", "live", "--url", endpoint.url,
+                      "-o", str(tmp_path / "f.jsonl")])
+        finally:
+            endpoint.close()
+        assert rc == 3
+        err = capsys.readouterr().err
+        for name in ("alpha", "beta"):  # tiny falls below the ingest minimum
+            assert f"extraction failed for lib/{name}@x86-64/O0: chat endpoint " in err
+        assert "extracted 0/2" in err and "Traceback" not in err
 
     def test_replay_without_fixtures_is_config_error(self, listing, tmp_path):
         corpus = self._corpus(listing, tmp_path)

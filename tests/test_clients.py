@@ -1,4 +1,3 @@
-import http.server
 import json
 import socket
 import threading
@@ -10,46 +9,7 @@ from asmsieve.corpus import AssemblyFunction
 from asmsieve.errors import ClientTransportError, ConfigurationError
 from asmsieve.index import InvertedIndex
 from asmsieve.prompts import PromptConfig, build_prompt, load_example_bank
-
-
-class ChatEndpoint:
-    """A chat endpoint on 127.0.0.1 that records each request and answers with
-    the status and body set on it."""
-
-    def __init__(self):
-        self.requests = []
-        self.status = 200
-        self.body = b"{}"
-        endpoint = self
-
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_POST(self):
-                data = self.rfile.read(int(self.headers["Content-Length"]))
-                endpoint.requests.append(
-                    {"path": self.path, "headers": dict(self.headers), "payload": json.loads(data)}
-                )
-                self.send_response(endpoint.status)
-                self.send_header("Content-Length", str(len(endpoint.body)))
-                self.end_headers()
-                self.wfile.write(endpoint.body)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server.server_port}/v1/chat"
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-
-    def reply(self, doc, status=200):
-        self.body = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
-        self.status = status
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=10)
-        assert not self.thread.is_alive()
+from helpers import ChatEndpoint
 
 
 @pytest.fixture
@@ -103,12 +63,23 @@ class TestHttpChatClient:
         with pytest.raises(ClientTransportError, match="choices"):
             client.complete("s", "u", 0.2, 64)
 
-    @pytest.mark.parametrize("body", [b"not json", b"\xff\xfe\xfd"], ids=["text", "bytes"])
+    @pytest.mark.parametrize(
+        "body",
+        [b"not json", b"\xff\xfe\xfd", b"[" * 100_000,
+         '{"choices":[{"message":{"content":"x"}}]}'.encode("utf-16")],
+        ids=["text", "bytes", "deep-nesting", "utf-16"],
+    )
     def test_body_that_is_not_json_becomes_transport_error(self, endpoint, body):
         endpoint.reply(body)
         client = HttpChatClient(url=endpoint.url)
         with pytest.raises(ClientTransportError, match="invalid JSON"):
             client.complete("s", "u", 0.2, 64)
+
+    @pytest.mark.parametrize("content", [b"null", b"5"], ids=["null", "number"])
+    def test_content_that_is_not_a_string_becomes_transport_error(self, endpoint, content):
+        endpoint.reply(b'{"choices":[{"message":{"content":%s}}]}' % content)
+        with pytest.raises(ClientTransportError, match="content is not a string"):
+            HttpChatClient(url=endpoint.url).complete("s", "u", 0.2, 64)
 
     def test_unreachable_url_becomes_transport_error(self):
         with socket.socket() as sock:  # a port that was free a moment ago

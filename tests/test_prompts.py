@@ -81,6 +81,9 @@ class TestExampleBank:
             assert fs.present_fields == FIELD_ORDER
 
 
+    def test_shipped_bank_is_read_once(self):
+        assert load_example_bank() is load_example_bank()
+
     def test_directory_copy_loads_equal(self, bank, bank_dir):
         assert load_example_bank(bank_dir) == bank
         assert load_example_bank(str(bank_dir)) == bank
@@ -245,6 +248,15 @@ class TestPromptBytes:
         for cfg, b in [(one, bank)] * 3 + [(two, bank), (two, other), (two, other), (one, other)]:
             build_prompt(fn, cfg, b)
         assert len(calls) == 4
+
+    def test_no_bank_reuses_the_render(self, fn, monkeypatch):
+        calls = []
+        real = prompts._render_fixed
+        monkeypatch.setattr(prompts, "_last_fixed", None)
+        monkeypatch.setattr(prompts, "_render_fixed", lambda *args: calls.append(1) or real(*args))
+        first = build_prompt(fn, PromptConfig())
+        assert build_prompt(fn, PromptConfig()) == first
+        assert len(calls) == 1
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)

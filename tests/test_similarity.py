@@ -360,6 +360,10 @@ class TestEmbeddingStore:
             ('{"id":"b","values":null}', "'values' must be a list"),
             ('{"id":["a"],"values":[1,2]}', "'id' must be a string"),
             ('{"id":"b","values":[1,{}]}', "float"),
+            pytest.param('{"id":"b","values":[true,false]}', "'values' must be a list of numbers",
+                         id="booleans"),
+            pytest.param('{"id":"b","values":["1.5","2"]}', "'values' must be a list of numbers",
+                         id="numeric-strings"),
             ('{"id":"b","values":[NaN,1]}', "embedding for 'b' holds a NaN"),
             ('{"id":"b","values":[1,Infinity]}', "embedding for 'b' holds a NaN"),
             pytest.param('{"id":"b","values":[1,' + "9" * 5000 + "]}", "invalid JSON",

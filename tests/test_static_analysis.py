@@ -156,6 +156,16 @@ class TestRules:
         fs = static_extract(make_fn(["401000: mov r15, r8", "401004: add eax, ebx"]))
         assert fs["imm_values_cnt"] == 0
 
+    def test_decimal_too_long_for_int_is_skipped(self):
+        fs = static_extract(make_fn(["401000: mov eax, 0x2f41", f"401005: add eax, {'9' * 5000}",
+                                     "40100a: ret"]))
+        assert fs["int_consts"] == ("0x2f41",) and fs["imm_values_cnt"] == 1
+
+    def test_index_target_too_long_for_int_is_unresolved(self):
+        # the target reads 1, an earlier index, but has 5,000 digits
+        fs = static_extract(make_fn(["mov ecx, 5", "dec ecx", f"jne {'0' * 4999}1"]))
+        assert fs["loop"] is False
+
     def test_ida_hex_suffix(self):
         fs = static_extract(make_fn(["401000: mov eax, [rbp+50h]"]))
         assert fs["int_consts"] == ("0x50",)
