@@ -101,10 +101,11 @@ def extract_features(
             transcript.attempts.append(Attempt(temperature, None, f"transport-error: {exc}"))
             exc.transcript = transcript
             raise
-        fs = _read_answer(response, enabled, required)
-        transcript.attempts.append(Attempt(temperature, response, fs if isinstance(fs, str) else "ok"))
-        if not isinstance(fs, str):
-            return fs, transcript
+        answer = _read_answer(response, enabled, required)
+        failed = isinstance(answer, str)
+        transcript.attempts.append(Attempt(temperature, response, answer if failed else "ok"))
+        if not failed:
+            return answer, transcript
 
     raise ExtractionFailedError(
         f"no valid feature document for {fn.id!r} after {policy.max_retries + 1} attempt(s)",
